@@ -3,7 +3,9 @@
 #include <algorithm>
 
 #include "logging/format.hpp"
+#include "net/byte_codec.hpp"
 #include "obs/obs.hpp"
+#include "olsr/wire.hpp"
 
 namespace manet::core {
 namespace {
@@ -21,19 +23,8 @@ std::uint64_t span_id(std::uint32_t agent, std::uint32_t investigation) {
 namespace manet::core {
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t at) {
-  return (static_cast<std::uint32_t>(in[at]) << 24) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 8) |
-         static_cast<std::uint32_t>(in[at + 3]);
-}
+using PayloadWriter = net::ByteWriter<std::endian::big>;
+using PayloadReader = net::ByteReader<std::endian::big, olsr::WireError>;
 
 constexpr std::uint8_t kQueryTag = 1;
 constexpr std::uint8_t kAnswerTag = 2;
@@ -41,49 +32,54 @@ constexpr std::uint8_t kAnswerTag = 2;
 }  // namespace
 
 std::vector<std::uint8_t> encode_query(const LinkQuery& q) {
-  std::vector<std::uint8_t> out;
-  out.push_back(kQueryTag);
-  out.push_back(static_cast<std::uint8_t>(q.kind));
-  put_u32(out, q.investigation_id);
-  put_u32(out, q.suspect.value());
-  put_u32(out, q.subject.value());
-  out.push_back(q.claimed_up ? 1 : 0);
-  return out;
+  PayloadWriter w;
+  w.u8(kQueryTag);
+  w.u8(static_cast<std::uint8_t>(q.kind));
+  w.u32(q.investigation_id);
+  w.node(q.suspect);
+  w.node(q.subject);
+  w.boolean(q.claimed_up);
+  return w.take();
 }
 
 std::optional<LinkQuery> decode_query(const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() != 15 || bytes[0] != kQueryTag) return std::nullopt;
+  PayloadReader r{bytes};
+  r.u8();  // tag
   LinkQuery q;
-  q.kind = static_cast<QueryKind>(bytes[1]);
+  q.kind = static_cast<QueryKind>(r.u8());
   if (q.kind != QueryKind::kLinkStatus && q.kind != QueryKind::kForwarding)
     return std::nullopt;
-  q.investigation_id = get_u32(bytes, 2);
-  q.suspect = NodeId{get_u32(bytes, 6)};
-  q.subject = NodeId{get_u32(bytes, 10)};
-  q.claimed_up = bytes[14] != 0;
+  q.investigation_id = r.u32();
+  q.suspect = r.node();
+  q.subject = r.node();
+  q.claimed_up = r.boolean();
   return q;
 }
 
 std::vector<std::uint8_t> encode_answer(const LinkAnswer& a) {
-  std::vector<std::uint8_t> out;
-  out.push_back(kAnswerTag);
-  put_u32(out, a.investigation_id);
-  put_u32(out, a.responder.value());
-  put_u32(out, a.suspect.value());
-  put_u32(out, a.subject.value());
-  out.push_back(a.evidence > 0 ? 1 : (a.evidence < 0 ? 2 : 0));
-  return out;
+  PayloadWriter w;
+  w.u8(kAnswerTag);
+  w.u32(a.investigation_id);
+  w.node(a.responder);
+  w.node(a.suspect);
+  w.node(a.subject);
+  w.u8(a.evidence > 0 ? 1 : (a.evidence < 0 ? 2 : 0));
+  return w.take();
 }
 
 std::optional<LinkAnswer> decode_answer(
     const std::vector<std::uint8_t>& bytes) {
   if (bytes.size() != 18 || bytes[0] != kAnswerTag) return std::nullopt;
+  PayloadReader r{bytes};
+  r.u8();  // tag
   LinkAnswer a;
-  a.investigation_id = get_u32(bytes, 1);
-  a.responder = NodeId{get_u32(bytes, 5)};
-  a.suspect = NodeId{get_u32(bytes, 9)};
-  a.subject = NodeId{get_u32(bytes, 13)};
-  a.evidence = bytes[17] == 1 ? 1.0 : (bytes[17] == 2 ? -1.0 : 0.0);
+  a.investigation_id = r.u32();
+  a.responder = r.node();
+  a.suspect = r.node();
+  a.subject = r.node();
+  const auto evidence = r.u8();
+  a.evidence = evidence == 1 ? 1.0 : (evidence == 2 ? -1.0 : 0.0);
   return a;
 }
 

@@ -295,14 +295,14 @@ AuditHeader read_audit_header(logging::AuditReader& reader) {
   c.trust_update_min_detect = reader.f64();
   c.liveness_window = reader.time();
   c.decay_unresponsive = reader.boolean();
-  const std::size_t ntrust = reader.count();
+  const std::size_t ntrust = reader.count(12);  // node + f64
   header.trust_rows.reserve(ntrust);
   for (std::size_t i = 0; i < ntrust; ++i) {
     const auto subject = reader.node();
     const double value = reader.f64();
     header.trust_rows.emplace_back(subject, value);
   }
-  const std::size_t ninter = reader.count();
+  const std::size_t ninter = reader.count(20);  // node + 2 x i64
   header.interaction_rows.reserve(ninter);
   for (std::size_t i = 0; i < ninter; ++i) {
     trust::TrustStore::Counter row;
@@ -378,7 +378,7 @@ AuditRound read_round_payload(logging::AuditReader& reader) {
   round.query.subject = reader.node();
   round.query.claimed_up = reader.boolean();
   round.own_observation = reader.f64();
-  const std::size_t nanswers = reader.count();
+  const std::size_t nanswers = reader.count(13);  // node + f64 + bool
   round.answers.reserve(nanswers);
   for (std::size_t i = 0; i < nanswers; ++i) {
     RoundAnswer a;
@@ -414,7 +414,7 @@ bool AuditStreamReader::next(AuditEvent& out) {
   out.audit = {};
   switch (frame.kind) {
     case logging::AuditFrame::kLine:
-      out.line = reader_.line();
+      out.line = logging::read_record(reader_);
       out.time = out.line.time;
       break;
     case logging::AuditFrame::kRound:

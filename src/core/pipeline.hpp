@@ -197,6 +197,8 @@ class AuditStreamReader {
   AuditStreamReader(const std::uint8_t* data, std::size_t size);
   explicit AuditStreamReader(const std::vector<std::uint8_t>& data)
       : AuditStreamReader{data.data(), data.size()} {}
+  /// The reader borrows the bytes, so a temporary buffer is rejected.
+  explicit AuditStreamReader(std::vector<std::uint8_t>&&) = delete;
 
   const AuditHeader& header() const { return header_; }
 

@@ -1,82 +1,11 @@
 #include "faults/checkpoint.hpp"
 
-#include <bit>
 #include <utility>
 
+#include "logging/audit_log.hpp"
 #include "olsr/wire.hpp"
 
 namespace manet::faults {
-
-// ------------------------------------------------------------------- writer
-
-void CheckpointWriter::le(std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void CheckpointWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void CheckpointWriter::count(std::size_t n) {
-  u64(static_cast<std::uint64_t>(n));
-}
-
-void CheckpointWriter::str(std::string_view s) {
-  count(s.size());
-  blob(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
-}
-
-void CheckpointWriter::blob(const std::uint8_t* data, std::size_t size) {
-  buf_.insert(buf_.end(), data, data + size);
-}
-
-// ------------------------------------------------------------------- reader
-
-std::uint64_t CheckpointReader::le(int bytes) {
-  if (size_ - pos_ < static_cast<std::size_t>(bytes))
-    throw CheckpointError{"truncated checkpoint"};
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += static_cast<std::size_t>(bytes);
-  return v;
-}
-
-std::uint8_t CheckpointReader::u8() {
-  return static_cast<std::uint8_t>(le(1));
-}
-std::uint16_t CheckpointReader::u16() {
-  return static_cast<std::uint16_t>(le(2));
-}
-std::uint32_t CheckpointReader::u32() {
-  return static_cast<std::uint32_t>(le(4));
-}
-std::uint64_t CheckpointReader::u64() { return le(8); }
-
-double CheckpointReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::size_t CheckpointReader::count() {
-  const std::uint64_t n = u64();
-  // A count cannot exceed the remaining bytes (every element is >= 1 byte):
-  // rejecting early turns corrupt lengths into clean errors, not OOM.
-  if (n > size_ - pos_) throw CheckpointError{"corrupt checkpoint count"};
-  return static_cast<std::size_t>(n);
-}
-
-std::string CheckpointReader::str() {
-  const std::size_t n = count();
-  if (size_ - pos_ < n) throw CheckpointError{"truncated checkpoint string"};
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
-}
-
-std::vector<std::uint8_t> CheckpointReader::blob() {
-  const std::size_t n = count();
-  if (size_ - pos_ < n) throw CheckpointError{"truncated checkpoint blob"};
-  std::vector<std::uint8_t> b(data_ + pos_, data_ + pos_ + n);
-  pos_ += n;
-  return b;
-}
 
 // ---------------------------------------------------------------------- rng
 
@@ -98,37 +27,16 @@ sim::Rng::State decode_rng(CheckpointReader& r) {
 
 void encode_log(CheckpointWriter& w, const logging::LogStore& log) {
   w.count(log.records().size());
-  for (const auto& rec : log.records()) {
-    w.time(rec.time);
-    w.node(rec.node);
-    w.str(rec.event);
-    w.count(rec.fields.size());
-    for (const auto& [k, v] : rec.fields) {
-      w.str(k);
-      w.str(v);
-    }
-  }
+  for (const auto& rec : log.records()) logging::write_record(w, rec);
   w.u64(log.total_appended());
   w.u64(log.dropped());
 }
 
 void decode_log(CheckpointReader& r, logging::LogStore& log) {
   std::deque<logging::LogRecord> records;
-  const std::size_t n = r.count();
-  for (std::size_t i = 0; i < n; ++i) {
-    logging::LogRecord rec;
-    rec.time = r.time();
-    rec.node = r.node();
-    rec.event = r.str();
-    const std::size_t nf = r.count();
-    rec.fields.reserve(nf);
-    for (std::size_t f = 0; f < nf; ++f) {
-      auto key = r.str();
-      auto value = r.str();
-      rec.fields.emplace_back(std::move(key), std::move(value));
-    }
-    records.push_back(std::move(rec));
-  }
+  const std::size_t n = r.count(logging::kRecordMinBytes);
+  for (std::size_t i = 0; i < n; ++i)
+    records.push_back(logging::read_record(r));
   const auto total = r.u64();
   const auto dropped = r.u64();
   log.restore(std::move(records), total, dropped);
@@ -319,9 +227,9 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   img.running = r.boolean();
 
   olsr::Agent::ProtocolScalars scalars;
-  scalars.mprs.resize(r.count());
+  scalars.mprs.resize(r.count(4));
   for (auto& n : scalars.mprs) n = r.node();
-  scalars.mpr_selectors.resize(r.count());
+  scalars.mpr_selectors.resize(r.count(12));
   for (auto& [n, until] : scalars.mpr_selectors) {
     n = r.node();
     until = r.time();
@@ -336,7 +244,7 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   scalars.stats = decode_stats(r);
   agent.restore_protocol_scalars(scalars);
 
-  std::vector<olsr::LinkSet::Slot> slots(r.count());
+  std::vector<olsr::LinkSet::Slot> slots(r.count(29));
   for (auto& s : slots) {
     s.tuple.neighbor = r.node();
     s.tuple.asym_until = r.time();
@@ -347,13 +255,13 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   const auto hint = r.time();
   agent.restore_links().restore(std::move(slots), hint);
 
-  std::vector<olsr::NeighborTuple> neighbors(r.count());
+  std::vector<olsr::NeighborTuple> neighbors(r.count(6));
   for (auto& t : neighbors) {
     t.id = r.node();
     t.willingness = static_cast<olsr::Willingness>(r.u8());
     t.symmetric = r.boolean();
   }
-  std::vector<olsr::TwoHopTuple> two_hops(r.count());
+  std::vector<olsr::TwoHopTuple> two_hops(r.count(16));
   for (auto& t : two_hops) {
     t.via = r.node();
     t.two_hop = r.node();
@@ -362,21 +270,21 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   agent.restore_neighbors().restore(std::move(neighbors),
                                     std::move(two_hops));
 
-  std::vector<olsr::TopologyTuple> topo(r.count());
+  std::vector<olsr::TopologyTuple> topo(r.count(18));
   for (auto& t : topo) {
     t.dest = r.node();
     t.last_hop = r.node();
     t.ansn = r.u16();
     t.valid_until = r.time();
   }
-  std::vector<std::pair<net::NodeId, std::uint16_t>> ansns(r.count());
+  std::vector<std::pair<net::NodeId, std::uint16_t>> ansns(r.count(6));
   for (auto& [n, ansn] : ansns) {
     n = r.node();
     ansn = r.u16();
   }
   agent.restore_topology().restore(std::move(topo), std::move(ansns));
 
-  std::vector<olsr::DuplicateSet::Entry> entries(r.count());
+  std::vector<olsr::DuplicateSet::Entry> entries(r.count(15));
   for (auto& e : entries) {
     e.originator = r.node();
     e.seq = r.u16();
@@ -384,7 +292,7 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
     e.forwarded = r.boolean();
   }
   std::deque<olsr::DuplicateSet::RingSlot> ring;
-  const std::size_t ring_n = r.count();
+  const std::size_t ring_n = r.count(14);
   for (std::size_t i = 0; i < ring_n; ++i) {
     olsr::DuplicateSet::RingSlot rs;
     rs.originator = r.node();
@@ -396,21 +304,21 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
 
   olsr::RoutingTable::Persisted routes;
   routes.self = r.node();
-  routes.node_ids.resize(r.count());
+  routes.node_ids.resize(r.count(4));
   for (auto& n : routes.node_ids) n = r.node();
-  routes.offsets.resize(r.count());
+  routes.offsets.resize(r.count(4));
   for (auto& o : routes.offsets) o = r.u32();
-  routes.targets.resize(r.count());
+  routes.targets.resize(r.count(4));
   for (auto& t : routes.targets) t = r.u32();
-  routes.dist.resize(r.count());
+  routes.dist.resize(r.count(4));
   for (auto& d : routes.dist) d = static_cast<std::int32_t>(r.u32());
-  routes.parent.resize(r.count());
+  routes.parent.resize(r.count(4));
   for (auto& p : routes.parent) p = r.node();
-  routes.dests.resize(r.count());
+  routes.dests.resize(r.count(4));
   for (auto& d : routes.dests) d = r.node();
   agent.restore_routes().restore(std::move(routes));
 
-  std::vector<olsr::MidSet::Tuple> mid(r.count());
+  std::vector<olsr::MidSet::Tuple> mid(r.count(16));
   for (auto& t : mid) {
     t.iface = r.node();
     t.main = r.node();
@@ -418,7 +326,7 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   }
   agent.restore_mid_set().restore(std::move(mid));
 
-  std::vector<std::pair<olsr::HnaSet::Key, sim::Time>> hna(r.count());
+  std::vector<std::pair<olsr::HnaSet::Key, sim::Time>> hna(r.count(17));
   for (auto& [key, until] : hna) {
     key.gateway = r.node();
     key.network = r.u32();
@@ -433,12 +341,9 @@ AgentImage decode_agent(CheckpointReader& r, olsr::Agent& agent) {
   img.tc = decode_timer(r);
   img.mid = decode_timer(r);
   img.housekeeping = decode_timer(r);
-  const std::size_t nf = r.count();
-  img.forwards.resize(nf);
+  img.forwards.resize(r.count(24));
   for (auto& f : img.forwards) {
-    const std::size_t nb = r.count();
-    f.message.resize(nb);
-    for (std::size_t i = 0; i < nb; ++i) f.message[i] = r.u8();
+    f.message = r.blob();
     f.at = r.time();
     f.seq = r.u64();
   }
@@ -462,12 +367,12 @@ void encode_trust(CheckpointWriter& w, const trust::TrustStore& store) {
 }
 
 void decode_trust(CheckpointReader& r, trust::TrustStore& store) {
-  std::vector<std::pair<net::NodeId, double>> trust(r.count());
+  std::vector<std::pair<net::NodeId, double>> trust(r.count(12));
   for (auto& [n, t] : trust) {
     n = r.node();
     t = r.f64();
   }
-  std::vector<trust::TrustStore::Counter> counters(r.count());
+  std::vector<trust::TrustStore::Counter> counters(r.count(20));
   for (auto& c : counters) {
     c.subject = r.node();
     c.positive = static_cast<int>(r.i64());
@@ -537,29 +442,28 @@ void encode_detector(CheckpointWriter& w, const core::Detector& detector) {
 void decode_detector(CheckpointReader& r, core::Detector& detector) {
   core::Detector::Persisted p;
   p.last_scan = r.time();
-  p.current_mprs.resize(r.count());
+  p.current_mprs.resize(r.count(4));
   for (auto& n : p.current_mprs) n = r.node();
-  const std::size_t ntc = r.count();
-  p.pending_tcs.resize(ntc);
+  p.pending_tcs.resize(r.count(32));
   for (auto& tc : p.pending_tcs) {
     tc.at = r.time();
     tc.seq = r.i64();
-    const std::size_t nm = r.count();
+    const std::size_t nm = r.count(4);
     for (std::size_t i = 0; i < nm; ++i) tc.mprs_then.insert(r.node());
-    const std::size_t nh = r.count();
+    const std::size_t nh = r.count(4);
     for (std::size_t i = 0; i < nh; ++i) tc.heard_from.insert(r.node());
   }
-  p.last_investigated.resize(r.count());
+  p.last_investigated.resize(r.count(16));
   for (auto& [link, at] : p.last_investigated) {
     link.first = r.node();
     link.second = r.node();
     at = r.time();
   }
-  p.answer_pool.resize(r.count());
+  p.answer_pool.resize(r.count(16));
   for (auto& [link, answers] : p.answer_pool) {
     link.first = r.node();
     link.second = r.node();
-    answers.resize(r.count());
+    answers.resize(r.count(13));
     for (auto& a : answers) {
       a.responder = r.node();
       a.evidence = r.f64();
@@ -568,27 +472,32 @@ void decode_detector(CheckpointReader& r, core::Detector& detector) {
   }
   p.degradation.suppressed_convictions = r.u64();
   auto& auditor = p.auditor;
-  auditor.always.resize(r.count());
+  auditor.always.resize(r.count(4));
   for (auto& n : auditor.always) n = r.node();
-  auditor.current_mprs.resize(r.count());
+  auditor.current_mprs.resize(r.count(4));
   for (auto& n : auditor.current_mprs) n = r.node();
-  auditor.pending.resize(r.count());
+  auditor.pending.resize(r.count(36));
   for (auto& flood : auditor.pending) {
     flood.orig = r.node();
     flood.seq = r.i64();
     flood.first_heard = r.time();
-    flood.audited.resize(r.count());
+    flood.audited.resize(r.count(4));
     for (auto& n : flood.audited) n = r.node();
-    flood.credited.resize(r.count());
+    flood.credited.resize(r.count(4));
     for (auto& n : flood.credited) n = r.node();
   }
-  auditor.window.resize(r.count());
+  auditor.window.resize(r.count(20));
   for (auto& tally : auditor.window) {
     tally.mpr = r.node();
     tally.expected = r.u64();
     tally.forwarded = r.u64();
   }
-  detector.restore(std::move(p));
+  try {
+    detector.restore(std::move(p));
+  } catch (const std::invalid_argument& e) {
+    // Restore re-reads the restored audit log; a corrupt line surfaces here.
+    throw CheckpointError{std::string{"corrupt checkpoint log: "} + e.what()};
+  }
   decode_trust(r, detector.trust_store());
 }
 
@@ -657,16 +566,17 @@ MediumImage decode_medium(CheckpointReader& r, net::Medium& medium) {
   img.stats.collisions = r.u64();
   img.stats.bytes_sent = r.u64();
   img.stats.dropped_down = r.u64();
-  const std::size_t hosts = r.count();
-  for (std::size_t i = 0; i < hosts; ++i) {
-    const net::NodeId id = r.node();
+  const auto ids = medium.attached_ids();
+  if (r.count(17) != ids.size())
+    throw CheckpointError{"checkpoint host count mismatch"};
+  for (const auto id : ids) {
+    if (r.node() != id) throw CheckpointError{"checkpoint host mismatch"};
     medium.set_up(id, r.boolean());
     medium.set_loss_override(id, r.f64());
     medium.set_partition(id, r.u32());
   }
   medium.restore_stats(img.stats);
-  const std::size_t n = r.count();
-  img.flights.resize(n);
+  img.flights.resize(r.count(44));
   for (auto& f : img.flights) {
     f.receiver = r.node();
     f.transmitter = r.node();

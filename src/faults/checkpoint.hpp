@@ -1,13 +1,14 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "core/detector.hpp"
 #include "core/investigation.hpp"
 #include "logging/log_store.hpp"
+#include "net/byte_codec.hpp"
 #include "net/medium.hpp"
 #include "olsr/agent.hpp"
 #include "sim/rng.hpp"
@@ -30,60 +31,13 @@ struct CheckpointError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Little-endian binary writer backing the snapshot format. Fixed-width
-/// fields only — the restore path must consume exactly what was written.
-class CheckpointWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void time(sim::Time t) { i64(t.us()); }
-  void node(net::NodeId n) { u32(n.value()); }
-  void count(std::size_t n);
-  void str(std::string_view s);
-  void blob(const std::uint8_t* data, std::size_t size);
-
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  void le(std::uint64_t v, int bytes);
-  std::vector<std::uint8_t> buf_;
-};
+/// Little-endian writer of the snapshot format. Fixed-width fields only —
+/// the restore path must consume exactly what was written.
+using CheckpointWriter = net::ByteWriter<std::endian::little>;
 
 /// Bounds-checked mirror of CheckpointWriter; throws CheckpointError on
 /// truncation instead of reading past the end.
-class CheckpointReader {
- public:
-  explicit CheckpointReader(const std::vector<std::uint8_t>& data)
-      : data_{data.data()}, size_{data.size()} {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  bool boolean() { return u8() != 0; }
-  sim::Time time() { return sim::Time::from_us(i64()); }
-  net::NodeId node() { return net::NodeId{u32()}; }
-  std::size_t count();
-  std::string str();
-  std::vector<std::uint8_t> blob();
-
-  bool at_end() const { return pos_ == size_; }
-
- private:
-  std::uint64_t le(int bytes);
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
+using CheckpointReader = net::ByteReader<std::endian::little, CheckpointError>;
 
 // ---------------------------------------------------------------- components
 // Each component codec is a matched encode/decode pair; decode applies
@@ -92,6 +46,9 @@ class CheckpointReader {
 // cursor) are returned as images instead — the restore harness re-arms
 // them globally, sorted by (time, original seq), so the rebuilt event
 // queue preserves every tie-break of the uninterrupted run.
+// Each decode passes count() the least wire bytes one element of that
+// table occupies as encoded, so a corrupt count cannot size a container
+// beyond what the input can hold.
 
 /// One periodic timer's pending firing.
 struct TimerImage {

@@ -1,89 +1,38 @@
 #include "logging/audit_log.hpp"
 
-#include <bit>
+#include <string>
 
 namespace manet::logging {
 
-// ------------------------------------------------------------------- writer
-
-void AuditWriter::le(std::uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i)
-    buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
-
-void AuditWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void AuditWriter::count(std::size_t n) { u64(static_cast<std::uint64_t>(n)); }
-
-void AuditWriter::str(std::string_view s) {
-  count(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
+void write_record(net::ByteWriter<std::endian::little>& w,
+                  const LogRecord& record) {
+  w.time(record.time);
+  w.node(record.node);
+  w.str(record.event);
+  w.count(record.fields.size());
+  for (const auto& [key, value] : record.fields) {
+    w.str(key);
+    w.str(value);
+  }
 }
 
 void AuditWriter::begin_frame(AuditFrame kind) {
   if (frame_size_at_ != SIZE_MAX)
     throw AuditError{"audit frame already open"};
   u8(static_cast<std::uint8_t>(kind));
-  frame_size_at_ = buf_.size();
-  u32(0);  // patched by end_frame
+  frame_size_at_ = size_prefix<std::uint32_t>();
 }
 
 void AuditWriter::end_frame() {
   if (frame_size_at_ == SIZE_MAX) throw AuditError{"no audit frame open"};
-  const std::size_t payload = buf_.size() - frame_size_at_ - 4;
-  const auto size32 = static_cast<std::uint32_t>(payload);
-  for (int i = 0; i < 4; ++i)
-    buf_[frame_size_at_ + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((size32 >> (8 * i)) & 0xFF);
+  patch_size<std::uint32_t>(frame_size_at_, size() - frame_size_at_ - 4);
   frame_size_at_ = SIZE_MAX;
 }
 
 void AuditWriter::line(const LogRecord& record) {
   begin_frame(AuditFrame::kLine);
-  time(record.time);
-  node(record.node);
-  str(record.event);
-  count(record.fields.size());
-  for (const auto& [key, value] : record.fields) {
-    str(key);
-    str(value);
-  }
+  write_record(*this, record);
   end_frame();
-}
-
-// ------------------------------------------------------------------- reader
-
-std::uint64_t AuditReader::le(int bytes) {
-  if (size_ - pos_ < static_cast<std::size_t>(bytes))
-    throw AuditError{"truncated audit log"};
-  std::uint64_t v = 0;
-  for (int i = 0; i < bytes; ++i)
-    v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  pos_ += static_cast<std::size_t>(bytes);
-  return v;
-}
-
-std::uint8_t AuditReader::u8() { return static_cast<std::uint8_t>(le(1)); }
-std::uint16_t AuditReader::u16() { return static_cast<std::uint16_t>(le(2)); }
-std::uint32_t AuditReader::u32() { return static_cast<std::uint32_t>(le(4)); }
-std::uint64_t AuditReader::u64() { return le(8); }
-
-double AuditReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::size_t AuditReader::count() {
-  const std::uint64_t n = u64();
-  // A count cannot exceed the remaining bytes (every element is >= 1 byte):
-  // rejecting early turns corrupt lengths into clean errors, not OOM.
-  if (n > size_ - pos_) throw AuditError{"corrupt audit count"};
-  return static_cast<std::size_t>(n);
-}
-
-std::string AuditReader::str() {
-  const std::size_t n = count();
-  if (size_ - pos_ < n) throw AuditError{"truncated audit string"};
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
 }
 
 AuditReader::FrameHeader AuditReader::begin_frame() {
@@ -94,29 +43,14 @@ AuditReader::FrameHeader AuditReader::begin_frame() {
     throw AuditError{"unknown audit frame kind " + std::to_string(kind)};
   frame.kind = static_cast<AuditFrame>(kind);
   const std::uint32_t size = u32();
-  if (size > size_ - pos_) throw AuditError{"truncated audit frame"};
-  frame.end = pos_ + size;
+  if (size > remaining()) throw AuditError{"truncated audit frame"};
+  frame.end = pos() + size;
   return frame;
 }
 
 void AuditReader::end_frame(const FrameHeader& frame) {
-  if (pos_ != frame.end)
+  if (pos() != frame.end)
     throw AuditError{"audit frame payload size mismatch"};
-}
-
-LogRecord AuditReader::line() {
-  LogRecord record;
-  record.time = time();
-  record.node = node();
-  record.event = str();
-  const std::size_t nfields = count();
-  record.fields.reserve(nfields);
-  for (std::size_t i = 0; i < nfields; ++i) {
-    auto key = str();
-    auto value = str();
-    record.fields.emplace_back(std::move(key), std::move(value));
-  }
-  return record;
 }
 
 }  // namespace manet::logging

@@ -1,12 +1,11 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "logging/record.hpp"
+#include "net/byte_codec.hpp"
 
 namespace manet::logging {
 
@@ -38,24 +37,39 @@ enum class AuditFrame : std::uint8_t {
   kForwardAudit = 4,
 };
 
-/// Little-endian binary writer backing the audit-log format; fixed-width
-/// fields only, mirroring the checkpoint codec conventions. Frames are
-/// length-prefixed ([u8 kind][u32 size][payload]) so a reader can validate
-/// truncation per frame.
-class AuditWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
-  void u32(std::uint32_t v) { le(v, 4); }
-  void u64(std::uint64_t v) { le(v, 8); }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void time(sim::Time t) { i64(t.us()); }
-  void node(net::NodeId n) { u32(n.value()); }
-  void count(std::size_t n);
-  void str(std::string_view s);
+/// Byte layout of one LogRecord — time, node, event, field count, then the
+/// key/value strings — shared by audit kLine frames and the checkpoint's
+/// log images.
+void write_record(net::ByteWriter<std::endian::little>& w,
+                  const LogRecord& record);
 
+/// Least wire bytes of one record field (two empty strings) and of one
+/// record (time, node, empty event, field count): the count() bounds that
+/// stop a corrupt count from reserving more than the input can hold.
+inline constexpr std::size_t kRecordFieldMinBytes = 16;
+inline constexpr std::size_t kRecordMinBytes = 28;
+
+template <class Error>
+LogRecord read_record(net::ByteReader<std::endian::little, Error>& r) {
+  LogRecord record;
+  record.time = r.time();
+  record.node = r.node();
+  record.event = r.str();
+  const std::size_t nfields = r.count(kRecordFieldMinBytes);
+  record.fields.reserve(nfields);
+  for (std::size_t i = 0; i < nfields; ++i) {
+    auto key = r.str();
+    auto value = r.str();
+    record.fields.emplace_back(std::move(key), std::move(value));
+  }
+  return record;
+}
+
+/// Little-endian writer of the audit-log format. Frames are length-prefixed
+/// ([u8 kind][u32 size][payload]) so a reader can validate truncation per
+/// frame.
+class AuditWriter : public net::ByteWriter<std::endian::little> {
+ public:
   /// Opens a frame: writes the kind byte and reserves the size prefix.
   /// Frames do not nest.
   void begin_frame(AuditFrame kind);
@@ -66,38 +80,15 @@ class AuditWriter {
   /// append).
   void line(const LogRecord& record);
 
-  const std::vector<std::uint8_t>& buffer() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
  private:
-  void le(std::uint64_t v, int bytes);
-
-  std::vector<std::uint8_t> buf_;
   std::size_t frame_size_at_ = SIZE_MAX;  ///< position of the open size prefix
 };
 
 /// Bounds-checked reader over an audit log held in (possibly mmapped)
 /// memory; throws AuditError instead of reading past the end.
-class AuditReader {
+class AuditReader : public net::ByteReader<std::endian::little, AuditError> {
  public:
-  AuditReader(const std::uint8_t* data, std::size_t size)
-      : data_{data}, size_{size} {}
-  explicit AuditReader(const std::vector<std::uint8_t>& data)
-      : AuditReader{data.data(), data.size()} {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  bool boolean() { return u8() != 0; }
-  sim::Time time() { return sim::Time::from_us(i64()); }
-  net::NodeId node() { return net::NodeId{u32()}; }
-  std::size_t count();
-  std::string str();
-
-  bool at_end() const { return pos_ == size_; }
+  using ByteReader::ByteReader;
 
   /// One frame header. The returned `end` is the absolute position just
   /// past the payload; a size prefix pointing past the buffer throws.
@@ -108,18 +99,6 @@ class AuditReader {
   FrameHeader begin_frame();
   /// Validates the payload was consumed exactly (decode drift = corruption).
   void end_frame(const FrameHeader& frame);
-  /// Jumps past the payload without decoding it.
-  void skip_frame(const FrameHeader& frame) { pos_ = frame.end; }
-
-  /// Decodes one kLine payload (begin_frame must have returned kLine).
-  LogRecord line();
-
- private:
-  std::uint64_t le(int bytes);
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace manet::logging

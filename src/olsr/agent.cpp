@@ -26,14 +26,12 @@ Agent::Agent(sim::Engine& sim, net::Medium& medium, NodeId id,
                  }},
       housekeeping_timer_{sim, config_.housekeeping_interval, sim::Duration{},
                           [this] { housekeep(); }} {
-  if (config_.batched_hello) {
-    // The HELLO scheduler drives the Medium's batched broadcast rounds:
-    // every arming of the jittered emission announces the sender for the
-    // upcoming window. Enrollment is pure bookkeeping (no RNG draws, no
-    // events), so it cannot perturb the trace.
-    hello_timer_.set_on_schedule(
-        [this](sim::Time) { medium_.hello_batch().enroll(id_); });
-  }
+  // The HELLO scheduler drives the Medium's batched broadcast rounds: every
+  // arming of the jittered emission announces the sender for the upcoming
+  // window. Enrollment is pure bookkeeping (no RNG draws, no events), so it
+  // cannot perturb the trace.
+  hello_timer_.set_on_schedule(
+      [this](sim::Time) { medium_.hello_batch().enroll(id_); });
   if (config_.batched_floods) {
     // TC emissions cluster inside the same kind of jitter window as HELLOs
     // (tc_interval - U[0, jitter] per MPR), so they join the shared
@@ -160,7 +158,7 @@ void Agent::emit_hello() {
   log_.append(std::move(rec));
 
   ++stats_.hello_sent;
-  broadcast_message(std::move(m), config_.batched_hello);
+  broadcast_message(std::move(m), /*batched=*/true);
 }
 
 void Agent::emit_tc() {
@@ -783,8 +781,7 @@ void Agent::recompute_mprs() {
     mpr_inputs_.neighbors.emplace_back(n, neighbors_.willingness_of(n));
   neighbors_.reachability(id_, mpr_inputs_.reach);
 
-  select_mprs(mpr_inputs_, config_.prune_redundant_mprs, mpr_scratch_,
-              fresh_mprs_);
+  select_mprs(mpr_inputs_, mpr_scratch_, fresh_mprs_);
   if (fresh_mprs_ == mprs_) return;
 
   std::vector<NodeId> added, removed;

@@ -72,20 +72,14 @@ class Agent {
     std::vector<NodeId> extra_interfaces;
     /// External networks this node gateways for; enables HNA emission.
     std::vector<HnaMessage::Entry> hna_networks;
-    bool prune_redundant_mprs = false;
-    /// Route HELLO emissions through the Medium's BroadcastBatch: the HELLO
-    /// scheduler enrolls each jittered emission when it is armed, and the
-    /// emission shares the per-cell receiver gather + sort with every other
-    /// HELLO of the same jitter window. Trace-equivalent to the per-sender
-    /// path (tests/medium_batch_test.cpp pins this); off reproduces the
-    /// unbatched PR-2 behavior exactly, draw for draw.
-    bool batched_hello = true;
-    /// Same fast path for the TC flood: jittered TC emissions and the MPR
-    /// re-broadcasts of forwarded messages (every relay firing within one
-    /// duplicate window sees the same topology) share the per-cell
-    /// snapshots too. Trace-equivalent like batched_hello — the batch path
-    /// is observationally identical to Medium::broadcast, and enrollment
-    /// never draws or schedules.
+    /// Route the TC flood through the Medium's BroadcastBatch, as HELLOs
+    /// always are: jittered TC emissions and the MPR re-broadcasts of
+    /// forwarded messages (every relay firing within one duplicate window
+    /// sees the same topology) share the per-cell receiver snapshots. The
+    /// batch path is observationally identical to Medium::broadcast, and
+    /// enrollment never draws or schedules. Off selects the per-sender
+    /// path, which FloodBatchEquivalence (tests/medium_batch_test.cpp)
+    /// keeps as the reference the batched flood must reproduce.
     bool batched_floods = true;
     /// Log an fwd_echo record (by/orig/seq) whenever a neighbor is heard
     /// re-broadcasting a *third-party* flood — the raw material of the

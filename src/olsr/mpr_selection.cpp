@@ -52,8 +52,8 @@ std::size_t gain_of(const std::vector<NodeId>& reach,
 
 }  // namespace
 
-void select_mprs(const MprInputs& in, bool prune_redundant,
-                 MprScratch& scratch, std::vector<NodeId>& out) {
+void select_mprs(const MprInputs& in, MprScratch& scratch,
+                 std::vector<NodeId>& out) {
   out.clear();
   auto& uncovered = scratch.uncovered;
   auto& tmp = scratch.tmp;
@@ -125,30 +125,12 @@ void select_mprs(const MprInputs& in, bool prune_redundant,
     if (!best.valid()) break;  // remaining 2-hop nodes are unreachable
     cover_with(best);
   }
-
-  if (prune_redundant) {
-    // Drop MPRs (lowest willingness first) whose removal keeps full coverage.
-    std::vector<NodeId> candidates = out;
-    std::sort(candidates.begin(), candidates.end(), [&](NodeId a, NodeId b) {
-      const auto wa = will_of(in, a);
-      const auto wb = will_of(in, b);
-      if (wa != wb) return static_cast<int>(wa) < static_cast<int>(wb);
-      return a < b;
-    });
-    std::vector<NodeId> trial;
-    for (auto n : candidates) {
-      if (will_of(in, n) == Willingness::kAlways) continue;
-      trial = out;
-      trial.erase(std::lower_bound(trial.begin(), trial.end(), n));
-      if (covers_all_two_hops(in, trial)) out = trial;
-    }
-  }
 }
 
-std::vector<NodeId> select_mprs(const MprInputs& in, bool prune_redundant) {
+std::vector<NodeId> select_mprs(const MprInputs& in) {
   MprScratch scratch;
   std::vector<NodeId> out;
-  select_mprs(in, prune_redundant, scratch, out);
+  select_mprs(in, scratch, out);
   return out;
 }
 

@@ -42,14 +42,12 @@ struct MprScratch {
 ///     reachability (number of still-uncovered 2-hop nodes), ties broken by
 ///     higher willingness, then larger total reach (degree), then lower id
 ///     (for determinism).
-/// An optional final pass drops redundant MPRs (coverage preserved).
 /// The result is sorted ascending.
-std::vector<NodeId> select_mprs(const MprInputs& inputs,
-                                bool prune_redundant = false);
+std::vector<NodeId> select_mprs(const MprInputs& inputs);
 
 /// Scratch-buffer variant: `out` is replaced with the selected set.
-void select_mprs(const MprInputs& inputs, bool prune_redundant,
-                 MprScratch& scratch, std::vector<NodeId>& out);
+void select_mprs(const MprInputs& inputs, MprScratch& scratch,
+                 std::vector<NodeId>& out);
 
 /// True if `mprs` (sorted ascending) covers every strict 2-hop node of
 /// `inputs` — the safety property the paper's attack breaks from the

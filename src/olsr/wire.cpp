@@ -4,79 +4,13 @@
 #include <cmath>
 #include <type_traits>
 
+#include "net/byte_codec.hpp"
+
 namespace manet::olsr {
 namespace {
 
-class ByteWriter {
- public:
-  explicit ByteWriter(net::Bytes& out) : out_{out} {}
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  }
-  void u32(std::uint32_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 24));
-    out_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFF));
-    out_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-    out_.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  }
-  void node(NodeId id) { u32(id.value()); }
-  void bytes(const std::uint8_t* p, std::size_t n) {
-    out_.insert(out_.end(), p, p + n);
-  }
-  std::size_t size() const { return out_.size(); }
-  /// Back-patches a previously written u16 at `offset`.
-  void patch_u16(std::size_t offset, std::uint16_t v) {
-    out_[offset] = static_cast<std::uint8_t>(v >> 8);
-    out_[offset + 1] = static_cast<std::uint8_t>(v & 0xFF);
-  }
-
- private:
-  net::Bytes& out_;
-};
-
-class ByteReader {
- public:
-  explicit ByteReader(const net::Bytes& in) : in_{in} {}
-
-  std::uint8_t u8() {
-    require(1);
-    return in_[pos_++];
-  }
-  std::uint16_t u16() {
-    require(2);
-    const auto v = static_cast<std::uint16_t>((in_[pos_] << 8) | in_[pos_ + 1]);
-    pos_ += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    require(4);
-    const std::uint32_t v = (static_cast<std::uint32_t>(in_[pos_]) << 24) |
-                            (static_cast<std::uint32_t>(in_[pos_ + 1]) << 16) |
-                            (static_cast<std::uint32_t>(in_[pos_ + 2]) << 8) |
-                            static_cast<std::uint32_t>(in_[pos_ + 3]);
-    pos_ += 4;
-    return v;
-  }
-  NodeId node() { return NodeId{u32()}; }
-  void bytes(net::Bytes& out, std::size_t n) {
-    require(n);
-    out.insert(out.end(), in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-  }
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return in_.size() - pos_; }
-  void require(std::size_t n) const {
-    if (in_.size() - pos_ < n) throw WireError{"truncated packet"};
-  }
-
- private:
-  const net::Bytes& in_;
-  std::size_t pos_ = 0;
-};
+using ByteWriter = net::ByteWriter<std::endian::big>;
+using ByteReader = net::ByteReader<std::endian::big, WireError>;
 
 constexpr double kVtimeScale = 1.0 / 16.0;  // C in seconds
 
@@ -90,7 +24,7 @@ void write_body(ByteWriter& w, const HelloMessage& h) {
   for (const auto& [code, addrs] : h.link_groups) {
     w.u8(code);
     w.u8(0);  // reserved
-    w.u16(static_cast<std::uint16_t>(4 + 4 * addrs.size()));
+    w.narrow_count<std::uint16_t>(4 + 4 * addrs.size());
     for (auto a : addrs) w.node(a);
   }
 }
@@ -116,13 +50,13 @@ void write_body(ByteWriter& w, const HnaMessage& h) {
 void write_body(ByteWriter& w, const DataMessage& d) {
   w.node(d.source);
   w.node(d.destination);
-  w.u8(static_cast<std::uint8_t>(d.route.size()));
-  w.u8(static_cast<std::uint8_t>(d.trace.size()));
+  w.narrow_count<std::uint8_t>(d.route.size());
+  w.narrow_count<std::uint8_t>(d.trace.size());
   w.u16(d.protocol);
   for (auto hop : d.route) w.node(hop);
   for (auto hop : d.trace) w.node(hop);
-  w.u16(static_cast<std::uint16_t>(d.payload.size()));
-  w.bytes(d.payload.data(), d.payload.size());
+  w.narrow_count<std::uint16_t>(d.payload.size());
+  w.blob(d.payload.data(), d.payload.size());
 }
 
 /// Exact serialized body size per message type — lets serialize_packet
@@ -242,15 +176,14 @@ namespace {
 void write_message(ByteWriter& w, const Message& m) {
   w.u8(static_cast<std::uint8_t>(m.header.type));
   w.u8(encode_vtime(m.header.vtime));
-  const std::size_t size_at = w.size();
-  w.u16(0);  // message size, patched below
+  const std::size_t size_at = w.size_prefix<std::uint16_t>();
   w.node(m.header.originator);
   w.u8(m.header.ttl);
   w.u8(m.header.hop_count);
   w.u16(m.header.seq_num);
   const std::size_t header_start = size_at - 2;
   std::visit([&](const auto& body) { write_body(w, body); }, m.body);
-  w.patch_u16(size_at, static_cast<std::uint16_t>(w.size() - header_start));
+  w.patch_size<std::uint16_t>(size_at, w.size() - header_start);
 }
 
 }  // namespace
@@ -259,14 +192,13 @@ net::Bytes serialize_packet(const OlsrPacket& packet) {
   std::size_t total = 4;  // packet header
   for (const auto& m : packet.messages)
     total += kMessageHeaderSize + body_wire_size(m.body);
-  net::Bytes out;
-  out.reserve(total);
-  ByteWriter w{out};
-  w.u16(0);  // packet length, patched below
+  ByteWriter w;
+  w.reserve(total);
+  const std::size_t length_at = w.size_prefix<std::uint16_t>();
   w.u16(packet.seq_num);
   for (const auto& m : packet.messages) write_message(w, m);
-  w.patch_u16(0, static_cast<std::uint16_t>(out.size()));
-  return out;
+  w.patch_size<std::uint16_t>(length_at, w.size());
+  return w.take();
 }
 
 OlsrPacket parse_packet(const net::Bytes& bytes) {

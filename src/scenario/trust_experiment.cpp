@@ -524,6 +524,8 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
   const sim::Time now = r.time();
 
   auto& sim = network_->sim();
+  if (now < sim.now())
+    throw faults::CheckpointError{"checkpoint time before simulation start"};
   sim.restore_now(now);
   sim.rng().set_state(faults::decode_rng(r));
 
@@ -558,7 +560,13 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
     arm_timer(agent.mid_timer(), img.mid);
     arm_timer(agent.housekeeping_timer(), img.housekeeping);
     for (const auto& fwd : img.forwards) {
-      auto packet = olsr::parse_packet(fwd.message);
+      olsr::OlsrPacket packet;
+      try {
+        packet = olsr::parse_packet(fwd.message);
+      } catch (const olsr::WireError& e) {
+        throw faults::CheckpointError{std::string{"pending forward: "} +
+                                      e.what()};
+      }
       if (packet.messages.size() != 1)
         throw faults::CheckpointError{"corrupt pending-forward message"};
       items.push_back({fwd.at, fwd.seq,
@@ -588,7 +596,7 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
     throw faults::CheckpointError{"fault plan presence mismatch"};
   if (injector_) {
     const auto cursor = static_cast<std::size_t>(r.u64());
-    const std::size_t ndown = r.count();
+    const std::size_t ndown = r.count(12);  // node + time
     std::vector<std::pair<NodeId, sim::Time>> down;
     down.reserve(ndown);
     for (std::size_t k = 0; k < ndown; ++k) {
@@ -607,6 +615,9 @@ void TrustExperiment::apply_restored(const std::vector<std::uint8_t>& bytes) {
   if (!r.at_end())
     throw faults::CheckpointError{"trailing bytes after checkpoint"};
 
+  for (const auto& item : items)
+    if (item.at < now)
+      throw faults::CheckpointError{"pending event before checkpoint time"};
   std::stable_sort(items.begin(), items.end(),
                    [](const ResumeItem& a, const ResumeItem& b) {
                      return a.at != b.at ? a.at < b.at : a.seq < b.seq;

@@ -201,6 +201,38 @@ TEST(AuditWire, RejectsPayloadSizeMismatch) {
   expect_whole_stream_throws(log);
 }
 
+TEST(AuditWire, FieldCountBoundedByMinimumFieldSize) {
+  // A kLine frame declaring 8 fields over 40 payload bytes: 8 <= 40 passes
+  // a count-vs-remaining-bytes guard, but every field needs at least 16
+  // bytes (two string lengths), so count() must refuse it before the
+  // record reserves eight 64-byte field slots.
+  AuditWriter w;
+  w.begin_frame(AuditFrame::kLine);
+  w.time(sim::Time::from_ms(1));
+  w.node(NodeId{1});
+  w.str("e");
+  const auto count_at = w.size();
+  w.count(8);
+  for (int i = 0; i < 40; ++i) w.u8(0);
+  w.end_frame();
+  const auto bytes = w.take();
+
+  AuditReader r{bytes};
+  const auto frame = r.begin_frame();
+  ASSERT_EQ(frame.kind, AuditFrame::kLine);
+  r.time();
+  r.node();
+  r.str();
+  ASSERT_EQ(r.pos(), count_at);
+  AuditReader unbounded = r;
+  EXPECT_EQ(unbounded.count(), 8u);  // a one-byte-per-element bound passes
+  EXPECT_THROW(r.count(logging::kRecordFieldMinBytes), AuditError);
+
+  AuditReader whole{bytes};
+  whole.begin_frame();
+  EXPECT_THROW(logging::read_record(whole), AuditError);
+}
+
 // --- kForwardAudit frame (format version 2) -------------------------------
 
 std::vector<std::uint8_t> forward_audit_log() {
@@ -219,7 +251,8 @@ std::vector<std::uint8_t> forward_audit_log() {
 }
 
 TEST(AuditWire, ForwardAuditFrameRoundTrips) {
-  AuditStreamReader stream{forward_audit_log()};
+  const auto bytes = forward_audit_log();
+  AuditStreamReader stream{bytes};
   AuditEvent event;
   ASSERT_TRUE(stream.next(event));
   EXPECT_EQ(event.kind, AuditFrame::kForwardAudit);
@@ -288,7 +321,8 @@ TEST(AuditWire, ForwardAuditCarriesNoTrustUpdate) {
   // Structural replay guarantee: consuming kForwardAudit frames moves no
   // trust and emits no report — convictions flow only through kRound, so
   // record/replay verdict CSVs cannot diverge on audit traffic.
-  AuditStreamReader stream{forward_audit_log()};
+  const auto bytes = forward_audit_log();
+  AuditStreamReader stream{bytes};
   auto pipeline = core::pipeline_from_header(stream.header());
   const auto before = core::trust_csv(pipeline.trust_store());
   AuditEvent event;

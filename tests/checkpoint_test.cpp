@@ -275,5 +275,34 @@ TEST(Checkpoint, RestoreRejectsTruncationAndTrailingGarbage) {
                CheckpointError);
 }
 
+TEST(Checkpoint, RestoreRejectsInconsistentState) {
+  // Fields that decode cleanly but cannot be applied to the rebuilt world
+  // are corruption too, reported as CheckpointError like any other.
+  const auto config = checkpoint_config(false);
+  TrustExperiment exp{config};
+  exp.setup();
+  exp.run_round();
+  const auto bytes = exp.save_checkpoint();
+
+  // Header: magic, version, node count (u32 each), seed, round, false
+  // convictions (u64 each), then the simulation time.
+  constexpr std::size_t kTimeAt = 3 * 4 + 3 * 8;
+  ASSERT_GT(CheckpointReader(bytes.data() + kTimeAt, 8).time().us(), 0);
+  auto past = bytes;
+  past[kTimeAt + 7] = 0xFF;  // sign byte: a time before the run started
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(config, past),
+               CheckpointError);
+
+  // Then the RNG state (4 x u64, bool, f64), the medium counters
+  // (6 x u64) and the host count; the first host id follows.
+  constexpr std::size_t kFirstHostAt = kTimeAt + 8 + 41 + 48 + 8;
+  ASSERT_EQ(CheckpointReader(bytes.data() + kFirstHostAt - 8, 8).u64(),
+            config.num_nodes);
+  auto stranger = bytes;
+  stranger[kFirstHostAt + 3] = 0x7F;  // a node id no host is attached as
+  EXPECT_THROW(TrustExperiment::restore_checkpoint(config, stranger),
+               CheckpointError);
+}
+
 }  // namespace
 }  // namespace manet

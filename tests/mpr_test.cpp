@@ -117,20 +117,6 @@ TEST(MprSelection, UnreachableTwoHopDoesNotLoopForever) {
   EXPECT_TRUE(contains(mprs, n(1)));
 }
 
-TEST(MprSelection, PruneRemovesRedundant) {
-  MprInputs in;
-  for (std::uint32_t i = 1; i <= 3; ++i)
-    set_will(in, n(i), Willingness::kDefault);
-  // n1 covers everything; n2/n3 cover subsets.
-  add_reach(in, n(1), n(10));
-  add_reach(in, n(1), n(11));
-  add_reach(in, n(2), n(10));
-  add_reach(in, n(3), n(11));
-  auto pruned = select_mprs(in, /*prune_redundant=*/true);
-  EXPECT_TRUE(covers_all_two_hops(in, pruned));
-  EXPECT_EQ(pruned.size(), 1u);
-}
-
 TEST(MprSelection, CoversAllTwoHopsDetectsGaps) {
   MprInputs in;
   set_will(in, n(1), Willingness::kDefault);
@@ -170,16 +156,13 @@ TEST(MprSelection, ScratchOverloadMatchesPlain) {
   add_reach(in, n(3), n(12));
   MprScratch scratch;
   std::vector<NodeId> out{n(77)};  // stale content must be cleared
-  select_mprs(in, /*prune_redundant=*/false, scratch, out);
+  select_mprs(in, scratch, out);
   EXPECT_EQ(out, select_mprs(in));
-  select_mprs(in, /*prune_redundant=*/true, scratch, out);
-  EXPECT_EQ(out, select_mprs(in, /*prune_redundant=*/true));
 }
 
 // Property sweep: for random neighborhoods, the selected MPR set always
 // covers every strict 2-hop node, never includes WILL_NEVER-excluded
-// entries (the caller drops them from reach), and pruning preserves
-// coverage while never enlarging the set.
+// entries (the caller drops them from reach).
 class MprProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MprProperty, CoverageInvariants) {
@@ -211,16 +194,6 @@ TEST_P(MprProperty, CoverageInvariants) {
         in.neighbors.begin(), in.neighbors.end(), m,
         [](const auto& p, NodeId v) { return p.first < v; });
     EXPECT_TRUE(it != in.neighbors.end() && it->first == m);
-  }
-
-  const auto pruned = select_mprs(in, /*prune_redundant=*/true);
-  EXPECT_TRUE(covers_all_two_hops(in, pruned));
-  EXPECT_LE(pruned.size(), mprs.size());
-  // WILL_ALWAYS members survive pruning.
-  for (const auto& [id, w] : in.neighbors) {
-    if (w == Willingness::kAlways && contains(mprs, id)) {
-      EXPECT_TRUE(contains(pruned, id));
-    }
   }
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "olsr/wire.hpp"
 #include "sim/rng.hpp"
 
@@ -144,6 +146,28 @@ TEST(Wire, DataRoundTrip) {
   EXPECT_EQ(dd->route, d.route);
   EXPECT_EQ(dd->protocol, 42);
   EXPECT_EQ(dd->payload, d.payload);
+}
+
+TEST(Wire, DataLengthOverflowThrowsOnEncode) {
+  // route/trace lengths are u8 and the payload length a u16 on the wire:
+  // an oversized field is refused instead of written truncated.
+  const auto serialize = [](const DataMessage& d) {
+    Message m;
+    m.header.type = MessageType::kData;
+    m.body = d;
+    OlsrPacket p;
+    p.messages.push_back(m);
+    return serialize_packet(p);
+  };
+  DataMessage d;
+  d.route.assign(256, NodeId{1});
+  EXPECT_THROW(serialize(d), std::length_error);
+  d.route.clear();
+  d.trace.assign(256, NodeId{1});
+  EXPECT_THROW(serialize(d), std::length_error);
+  d.trace.clear();
+  d.payload.assign(65536, 0);
+  EXPECT_THROW(serialize(d), std::length_error);
 }
 
 TEST(Wire, MultiMessagePacket) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/recommendation.hpp"
 #include "net/topology.hpp"
 #include "scenario/network.hpp"
@@ -47,6 +49,25 @@ TEST(RecommendationCodec, MalformedRejected) {
   auto bytes = encode_recommendation_request(1, {net::NodeId{1}});
   bytes.pop_back();
   EXPECT_FALSE(decode_recommendation_request(bytes, id).has_value());
+}
+
+TEST(RecommendationCodec, SubjectCountOverflowThrowsOnEncode) {
+  // The subject count is a u8: 256 subjects would wrap to 0 and produce a
+  // request its own decoder rejects, so the encoder refuses it.
+  std::vector<net::NodeId> subjects;
+  for (std::uint32_t i = 0; i < 256; ++i) subjects.emplace_back(i);
+  EXPECT_THROW(encode_recommendation_request(1, subjects), std::length_error);
+  subjects.pop_back();
+  std::uint32_t id = 0;
+  const auto decoded = decode_recommendation_request(
+      encode_recommendation_request(1, subjects), id);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->size(), 255u);
+
+  RecommendationReply reply;
+  for (std::uint32_t i = 0; i < 256; ++i)
+    reply.trusts.emplace_back(net::NodeId{i}, 0.5);
+  EXPECT_THROW(encode_recommendation_reply(reply), std::length_error);
 }
 
 Network::Config cluster(std::size_t n) {

@@ -1,14 +1,24 @@
-// Robustness and failure-injection tests: wire/log fuzzing (malformed
-// input must never crash, only throw or reject), node death mid-
+// Robustness and failure-injection tests: wire/log fuzzing and seeded
+// mutation fuzzing of every untrusted decoder (malformed input must never
+// crash, only throw the format's error or reject), node death mid-
 // investigation, heavy radio loss, log-capacity pressure, and colluding
 // attacker+liar coalitions.
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "attacks/composite.hpp"
 #include "attacks/drop.hpp"
 #include "attacks/link_spoofing.hpp"
 #include "core/investigation.hpp"
+#include "core/pipeline.hpp"
+#include "faults/checkpoint.hpp"
+#include "faults/fault_plan.hpp"
+#include "logging/audit_log.hpp"
 #include "logging/format.hpp"
 #include "net/topology.hpp"
 #include "olsr/wire.hpp"
@@ -76,6 +86,145 @@ TEST_P(WireMutationFuzz, BitFlippedValidPacketsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireMutationFuzz,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// Seeded mutation fuzz over the remaining untrusted decoders: a valid
+// input generated in-test from a fixed seed is mutated (bit flips, byte
+// overwrites, truncation) and decoded. Every decode either succeeds or
+// throws that format's own error type; any other exception fails the test,
+// and a crash, overread or hang fails it under ASan+UBSan or the timeout.
+enum class Format { kAuditLog, kCheckpoint, kFaultPlan };
+
+std::string format_name(const ::testing::TestParamInfo<
+                        std::tuple<Format, std::uint64_t>>& info) {
+  static const char* const kNames[] = {"AuditLog", "Checkpoint", "FaultPlan"};
+  return std::string{kNames[static_cast<int>(std::get<0>(info.param))]} +
+         "_" + std::to_string(std::get<1>(info.param));
+}
+
+scenario::TrustExperiment::Config fuzz_experiment_config() {
+  scenario::TrustExperiment::Config c;
+  c.seed = 3;
+  c.num_nodes = 8;
+  c.num_liars = 2;
+  c.rounds = 2;
+  return c;
+}
+
+std::vector<std::uint8_t> valid_input(Format format) {
+  switch (format) {
+    case Format::kAuditLog: {
+      auto c = fuzz_experiment_config();
+      c.record_audit = true;
+      scenario::TrustExperiment exp{c};
+      exp.setup();
+      exp.run_round();
+      exp.cease_attack();
+      exp.run_idle_round();
+      exp.detector().feed_log_growth();
+      return exp.audit_log();
+    }
+    case Format::kCheckpoint: {
+      auto c = fuzz_experiment_config();
+      c.checkpointable = true;
+      scenario::TrustExperiment exp{c};
+      exp.setup();
+      exp.run_round();
+      return exp.save_checkpoint();
+    }
+    case Format::kFaultPlan: {
+      const auto text =
+          faults::FaultPlan::chaos(5, 8, 150.0, sim::Time::from_ms(10'000),
+                                   sim::Time::from_ms(60'000))
+              .format();
+      return {text.begin(), text.end()};
+    }
+  }
+  return {};
+}
+
+/// True if `bytes` decode, false if the decoder rejects them with the
+/// format's own error type; any other exception propagates.
+bool decodes(Format format, const std::vector<std::uint8_t>& bytes) {
+  switch (format) {
+    case Format::kAuditLog:
+      try {
+        core::AuditStreamReader stream{bytes};
+        core::AuditEvent event;
+        while (stream.next(event)) {
+        }
+        return true;
+      } catch (const logging::AuditError&) {
+        return false;
+      }
+    case Format::kCheckpoint:
+      try {
+        auto c = fuzz_experiment_config();
+        c.checkpointable = true;
+        scenario::TrustExperiment::restore_checkpoint(c, bytes);
+        return true;
+      } catch (const faults::CheckpointError&) {
+        return false;
+      }
+    case Format::kFaultPlan:
+      try {
+        faults::FaultPlan::parse(std::string{bytes.begin(), bytes.end()});
+        return true;
+      } catch (const std::invalid_argument&) {
+        return false;
+      }
+  }
+  return false;
+}
+
+class DecoderMutationFuzz
+    : public ::testing::TestWithParam<std::tuple<Format, std::uint64_t>> {};
+
+TEST_P(DecoderMutationFuzz, MutatedValidInputsDecodeOrThrowFormatError) {
+  const auto [format, seed] = GetParam();
+  const auto valid = valid_input(format);
+  ASSERT_FALSE(valid.empty());
+  ASSERT_TRUE(decodes(format, valid));
+
+  sim::Rng rng{seed};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  int rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    auto mutated = valid;
+    const auto edits = rng.uniform_int(1, 4);
+    for (std::int64_t e = 0; e < edits; ++e) {
+      const auto at = pick(mutated.size());
+      switch (rng.uniform_int(0, 3)) {
+        case 0:  // bit flip
+          mutated[at] ^= static_cast<std::uint8_t>(1 << rng.uniform_int(0, 7));
+          break;
+        case 1:  // byte overwrite with an extreme value
+          mutated[at] = rng.uniform_int(0, 1) == 0 ? 0x00 : 0xFF;
+          break;
+        case 2:  // random byte
+          mutated[at] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+          break;
+        default:  // truncation
+          mutated.resize(at + 1);
+          break;
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    if (!decodes(format, mutated)) ++rejected;
+  }
+  // The decoder really checks something: some mutants must be rejected.
+  EXPECT_GT(rejected, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, DecoderMutationFuzz,
+    ::testing::Combine(::testing::Values(Format::kAuditLog,
+                                         Format::kCheckpoint,
+                                         Format::kFaultPlan),
+                       ::testing::Range<std::uint64_t>(1, 9)),
+    format_name);
 
 TEST(LogFuzz, RandomTextNeverCrashesParser) {
   sim::Rng rng{77};
