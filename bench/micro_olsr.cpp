@@ -1,15 +1,21 @@
 // Micro-benchmarks of the OLSR substrate: MPR selection, routing-table
-// computation, wire (de)serialization and audit-log parsing throughput.
+// computation, the knowledge-graph build, wire (de)serialization and
+// audit-log parsing throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "logging/format.hpp"
+#include "net/topology.hpp"
 #include "olsr/link_set.hpp"
 #include "olsr/mpr_selection.hpp"
 #include "olsr/routing_table.hpp"
 #include "olsr/wire.hpp"
+#include "scenario/network.hpp"
 #include "sim/rng.hpp"
 
 using namespace manet;
@@ -132,6 +138,82 @@ static void BM_RoutingRecomputeIncremental(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoutingRecomputeIncremental)->Args({256, 70})->Args({1024, 78});
+
+// The arc list Agent::knowledge_graph() gathers (link set, 2-hop set,
+// topology set, both directions of each edge, in table order) from node 0
+// of an n-node 50 m grid after the 15 s OLSR warm-up: a full mesh at 16
+// nodes, multi-hop at 64. Converged once per size and cached.
+// The agent does not expose its raw list, so this mirrors the gather in
+// Agent::knowledge_graph() (olsr/agent.cpp). The copy is checked against
+// the agent's own graph; on a mismatch the list is left empty and the
+// benchmark reports an error instead of timing a different input.
+const std::vector<std::pair<NodeId, NodeId>>& converged_arcs(std::size_t n) {
+  static std::map<std::size_t, std::vector<std::pair<NodeId, NodeId>>> cache;
+  if (const auto it = cache.find(n); it != cache.end()) return it->second;
+  auto& arcs = cache[n];
+  scenario::Network::Config nc;
+  nc.seed = 11;
+  nc.radio.range_m = 250.0;
+  nc.positions = net::grid_layout(n, 50.0);
+  scenario::Network net{nc};
+  net.start_all();
+  net.run_for(sim::Duration::from_seconds(15.0));
+  const auto& agent = net.agent(0);
+  const auto self = agent.id();
+  const auto edge = [&arcs](NodeId a, NodeId b) {
+    arcs.emplace_back(a, b);
+    arcs.emplace_back(b, a);
+  };
+  for (const auto nb : agent.links().symmetric_neighbors(net.now()))
+    edge(self, nb);
+  for (const auto& t : agent.neighbors().two_hop_tuples())
+    if (t.two_hop != self) edge(t.via, t.two_hop);
+  for (const auto& t : agent.topology().tuples())
+    if (t.dest != self && t.last_hop != self) edge(t.last_hop, t.dest);
+  olsr::KnowledgeGraph copy;
+  for (const auto& [from, to] : arcs) copy.add_arc(from, to);
+  const auto& own = agent.knowledge_graph();
+  if (!std::ranges::equal(copy.nodes(), own.nodes()) ||
+      !std::ranges::equal(copy.offsets(), own.offsets()) ||
+      !std::ranges::equal(copy.targets(), own.targets()))
+    arcs.clear();
+  return arcs;
+}
+
+// The graph read behind every recompute_routes, send_data and detector
+// path check: clear, refill from the tables, query. Arg 1 = 0 refills the
+// same list every time (the memo hit: an O(E) compare keeps the CSR);
+// = 1 alternates the list with a copy whose first two arcs are swapped,
+// so every read is a rebuild (packed-key sort + CSR fill) of the same set.
+// BM_RoutingRecompute* build their graphs outside the timed loop and never
+// see this cost.
+static void BM_KnowledgeGraphBuild(benchmark::State& state) {
+  const auto& arcs = converged_arcs(static_cast<std::size_t>(state.range(0)));
+  if (arcs.empty()) {
+    state.SkipWithError("gathered arcs differ from Agent::knowledge_graph()");
+    return;
+  }
+  auto swapped = arcs;
+  std::swap(swapped[0], swapped[1]);
+  const bool force_miss = state.range(1) != 0;
+  olsr::KnowledgeGraph g;
+  bool flip = false;
+  for (auto _ : state) {
+    const auto& list = force_miss && flip ? swapped : arcs;
+    flip = !flip;
+    g.clear();
+    for (const auto& [from, to] : list) g.add_arc(from, to);
+    benchmark::DoNotOptimize(g.node_count());
+  }
+  state.counters["arcs"] = static_cast<double>(arcs.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(arcs.size()));
+}
+BENCHMARK(BM_KnowledgeGraphBuild)
+    ->Args({16, 0})
+    ->Args({16, 1})
+    ->Args({64, 0})
+    ->Args({64, 1});
 
 // Link-set scans run on every HELLO build (symmetric + asymmetric
 // enumeration) and on every HELLO receipt (is_symmetric); at >= 70

@@ -349,7 +349,7 @@ void Detector::investigate_claim(NodeId suspect, NodeId subject,
   // E3 check: a suspect that is the sole provider toward some node makes
   // independent verification impossible; tag it so the report reflects the
   // lower confidence (the paper deliberately does not trigger on E3 alone).
-  const auto graph = agent_.knowledge_graph();
+  const auto& graph = agent_.knowledge_graph();
   const auto path_without = olsr::RoutingTable::shortest_path(
       graph, agent_.id(), subject, {suspect});
   if (!path_without && subject != agent_.id())

@@ -1,6 +1,7 @@
 #include "obs/obs.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
@@ -25,6 +26,10 @@ const char* hot_name(Hot h) {
       return "manet_olsr_route_recomputes_total";
     case Hot::kMprRecomputes:
       return "manet_olsr_mpr_recomputes_total";
+    case Hot::kGraphBuilds:
+      return "manet_olsr_graph_builds_total";
+    case Hot::kGraphReuses:
+      return "manet_olsr_graph_reuses_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:
@@ -259,6 +264,13 @@ void record_event(SpanName name, EventPhase phase, sim::Time begin,
   event.phase = phase;
   event.lane = tls.lane;
   shard->recorder.record(event);
+}
+
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
 }
 
 }  // namespace detail

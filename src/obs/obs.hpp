@@ -36,6 +36,8 @@ enum class Hot : std::uint32_t {
   kMediumUnicasts,           ///< routed unicast frames
   kRouteRecomputes,          ///< olsr::Agent routing recomputes that changed
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed
+  kGraphBuilds,              ///< olsr::KnowledgeGraph CSR rebuilds (memo miss)
+  kGraphReuses,              ///< olsr::KnowledgeGraph builds kept (memo hit)
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed
@@ -285,7 +287,30 @@ inline void hit(Hot h, std::uint64_t n = 1) {
 namespace detail {
 void record_event(SpanName name, EventPhase phase, sim::Time begin,
                   sim::Time end, std::uint64_t id, std::uint64_t wall_ns);
+/// Steady-clock reading in nanoseconds.
+std::uint64_t steady_ns();
 }
+
+/// Stopwatch of the profiling overlay, started at construction: reads the
+/// steady clock only while the bound Context traces with
+/// Config::wallclock on. elapsed_ns() is the `wall_ns` argument of span():
+/// at least 1 when measured, 0 otherwise — so deterministic traces carry
+/// no wall time and cost no clock reads.
+class WallTimer {
+ public:
+  WallTimer()
+      : start_ns_{detail::tls.tracing && detail::tls.wallclock
+                      ? detail::steady_ns()
+                      : 0} {}
+  std::uint64_t elapsed_ns() const {
+    if (start_ns_ == 0) return 0;
+    const auto now = detail::steady_ns();
+    return now > start_ns_ ? now - start_ns_ : 1;
+  }
+
+ private:
+  std::uint64_t start_ns_;
+};
 
 /// Records a completed [begin, end] sim-time span.
 inline void span(SpanName name, sim::Time begin, sim::Time end,

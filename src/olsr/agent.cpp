@@ -94,28 +94,23 @@ bool Agent::is_mpr(NodeId n) const {
   return std::binary_search(mprs_.begin(), mprs_.end(), n);
 }
 
-void Agent::build_knowledge_graph(KnowledgeGraph& g) const {
-  g.clear();
+const KnowledgeGraph& Agent::knowledge_graph() const {
+  graph_.clear();
   const auto now = sim_.now();
   // Edges touching ourselves come exclusively from the link set: RFC 3626
   // §10 requires the first hop of any route to be a *symmetric* neighbor,
   // so stale TC tuples must not resurrect a dead local link.
   links_.symmetric_neighbors(now, sym_scratch_);
-  for (auto n : sym_scratch_) g.add_edge(id_, n);
+  for (auto n : sym_scratch_) graph_.add_edge(id_, n);
   for (const auto& t : neighbors_.two_hop_tuples()) {
     if (t.two_hop == id_) continue;
-    g.add_edge(t.via, t.two_hop);
+    graph_.add_edge(t.via, t.two_hop);
   }
   for (const auto& t : topology_.tuples()) {
     if (t.dest == id_ || t.last_hop == id_) continue;
-    g.add_edge(t.last_hop, t.dest);
+    graph_.add_edge(t.last_hop, t.dest);
   }
-}
-
-KnowledgeGraph Agent::knowledge_graph() const {
-  KnowledgeGraph g;
-  build_knowledge_graph(g);
-  return g;
+  return graph_;
 }
 
 // ---------------------------------------------------------------- emission
@@ -627,8 +622,7 @@ void Agent::restore_protocol_scalars(const ProtocolScalars& s) {
 Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
                                    std::vector<std::uint8_t> payload,
                                    std::span<const NodeId> avoid) {
-  build_knowledge_graph(kg_scratch_);
-  auto path = RoutingTable::shortest_path(kg_scratch_, id_, dest, avoid);
+  auto path = RoutingTable::shortest_path(knowledge_graph(), id_, dest, avoid);
   if (!path) {
     auto rec = make_record("data_no_route");
     rec.with("dest", dest);
@@ -800,8 +794,7 @@ void Agent::recompute_mprs() {
 }
 
 void Agent::recompute_routes() {
-  build_knowledge_graph(kg_scratch_);
-  const auto [added, removed] = routing_.recompute(id_, kg_scratch_);
+  const auto [added, removed] = routing_.recompute(id_, knowledge_graph());
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());

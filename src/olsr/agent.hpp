@@ -125,8 +125,12 @@ class Agent {
   bool is_symmetric_neighbor(NodeId n) const;
   const AgentStats& stats() const { return stats_; }
 
-  /// The adjacency this node believes in (link set + 2-hop + TC topology).
-  KnowledgeGraph knowledge_graph() const;
+  /// The adjacency this node believes in (link set + 2-hop + TC topology):
+  /// the agent's one graph, refilled from the tables on every call and
+  /// rebuilt only when the gathered arcs changed (see KnowledgeGraph). The
+  /// reference stays valid until the next knowledge_graph(),
+  /// recompute_routes() or send_data() call on this agent.
+  const KnowledgeGraph& knowledge_graph() const;
 
   // --- audit log (the IDS's only window into the daemon) ---
   logging::LogStore& log() { return log_; }
@@ -257,7 +261,6 @@ class Agent {
   void maybe_recompute_routes();
   void recompute_mprs();
   void recompute_routes();
-  void build_knowledge_graph(KnowledgeGraph& g) const;
   void broadcast_message(Message m, bool batched = false);
 
   std::uint16_t next_msg_seq() { return msg_seq_++; }
@@ -294,7 +297,7 @@ class Agent {
   // steady state.
   mutable std::vector<NodeId> sym_scratch_;
   mutable std::vector<NodeId> asym_scratch_;
-  mutable KnowledgeGraph kg_scratch_;
+  mutable KnowledgeGraph graph_;  // read through knowledge_graph() only
   MprInputs mpr_inputs_;
   MprScratch mpr_scratch_;
   std::vector<NodeId> fresh_mprs_;

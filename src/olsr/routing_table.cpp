@@ -2,37 +2,58 @@
 
 #include <algorithm>
 
+#include "obs/obs.hpp"
+
 namespace manet::olsr {
 
 // ------------------------------------------------------------ KnowledgeGraph
 
-void KnowledgeGraph::build() const {
-  if (built_) return;
+void KnowledgeGraph::rebuild() const {
   built_ = true;
+  if (arcs_ == built_from_) {
+    obs::hit(obs::Hot::kGraphReuses);
+    return;
+  }
+  obs::hit(obs::Hot::kGraphBuilds);
+  built_from_.assign(arcs_.begin(), arcs_.end());
+  // A packed key (from << 32 | to) sorts in (from, to) order.
   std::sort(arcs_.begin(), arcs_.end());
   arcs_.erase(std::unique(arcs_.begin(), arcs_.end()), arcs_.end());
 
   nodes_.clear();
-  nodes_.reserve(arcs_.size());
-  for (const auto& [from, to] : arcs_) {
-    nodes_.push_back(from);
-    nodes_.push_back(to);
+  targets_.clear();
+  offsets_.clear();
+  if (arcs_.empty()) return;  // no CSR arrays, as for a fresh graph
+  for (const auto key : arcs_) {
+    const NodeId from{static_cast<std::uint32_t>(key >> 32)};
+    if (nodes_.empty() || nodes_.back() != from) nodes_.push_back(from);
   }
+  if (fill_csr()) return;
+  // Some target is never a source: the node list is the union of both.
+  for (const auto key : arcs_)
+    nodes_.emplace_back(static_cast<std::uint32_t>(key));
   std::sort(nodes_.begin(), nodes_.end());
   nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  fill_csr();
+}
 
+bool KnowledgeGraph::fill_csr() const {
   offsets_.assign(nodes_.size() + 1, 0);
   targets_.clear();
   targets_.reserve(arcs_.size());
   // arcs_ is (from, to)-sorted and nodes_ ascending, so one forward sweep
   // fills the CSR with adjacency ascending by target id.
   std::size_t node = 0;
-  for (const auto& [from, to] : arcs_) {
+  for (const auto key : arcs_) {
+    const NodeId from{static_cast<std::uint32_t>(key >> 32)};
+    const NodeId to{static_cast<std::uint32_t>(key)};
     while (nodes_[node] != from) offsets_[++node] = targets_.size();
-    targets_.push_back(static_cast<std::uint32_t>(
-        std::lower_bound(nodes_.begin(), nodes_.end(), to) - nodes_.begin()));
+    const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), to);
+    if (it == nodes_.end() || *it != to) return false;
+    targets_.push_back(static_cast<std::uint32_t>(it - nodes_.begin()));
   }
   while (node < nodes_.size()) offsets_[++node] = targets_.size();
+  return true;
 }
 
 std::uint32_t KnowledgeGraph::index_of(NodeId id) const {

@@ -22,15 +22,26 @@ using net::NodeId;
 /// run over contiguous index arrays instead of a map of sets. Adjacency
 /// lists come out ascending by node id — the same iteration order the old
 /// std::map<NodeId, std::set<NodeId>> gave, which the trace-pinned BFS
-/// tie-breaks rely on. Not thread-safe: the lazy build mutates cached
-/// state (one graph belongs to one replication).
+/// tie-breaks rely on.
+///
+/// The build is memoized: the graph keeps the raw arc list its CSR was
+/// compacted from, and a later build whose gathered list is equal to it
+/// (an O(E) compare) keeps the CSR as is. clear() discards only the raw
+/// list being gathered, never the CSR, so an owner that clears and refills
+/// the same graph on every read pays the sort only when the arcs moved.
+/// A rebuild sorts packed (from << 32 | to) keys — the (from, to) order —
+/// and takes the node list from the sorted sources in one pass; only a
+/// graph with a target that is never a source (a direct add_arc; add_edge
+/// graphs are symmetric) falls back to the union of both endpoint sets.
+/// Not thread-safe: the lazy build mutates cached state (one graph belongs
+/// to one replication).
 class KnowledgeGraph {
  public:
   static constexpr std::uint32_t kNpos = 0xFFFFFFFFu;
 
   /// Adds the directed arc from -> to (duplicates are compacted away).
   void add_arc(NodeId from, NodeId to) {
-    arcs_.emplace_back(from, to);
+    arcs_.push_back(std::uint64_t{from.value()} << 32 | to.value());
     built_ = false;
   }
   /// Adds both directions of an undirected edge.
@@ -39,12 +50,11 @@ class KnowledgeGraph {
     add_arc(b, a);
   }
   void reserve(std::size_t arcs) { arcs_.reserve(arcs); }
+  /// Starts a new arc list; the built CSR stays until the next build
+  /// finds the new list differs from the one it was built from.
   void clear() {
     arcs_.clear();
-    nodes_.clear();
-    offsets_.clear();
-    targets_.clear();
-    built_ = true;
+    built_ = false;
   }
 
   /// All endpoints mentioned by any arc, sorted ascending.
@@ -78,9 +88,20 @@ class KnowledgeGraph {
   }
 
  private:
-  void build() const;
+  // Inline so every accessor on a built graph costs one branch.
+  void build() const {
+    if (!built_) rebuild();
+  }
+  /// Memo check against built_from_, then (on a miss) the CSR rebuild.
+  void rebuild() const;
+  /// Fills offsets_/targets_ from the sorted unique arcs_ over nodes_;
+  /// false when some target is missing from nodes_.
+  bool fill_csr() const;
 
-  mutable std::vector<std::pair<NodeId, NodeId>> arcs_;
+  // Packed (from << 32 | to) keys in gather order; build() sorts and
+  // dedups them in place.
+  mutable std::vector<std::uint64_t> arcs_;
+  mutable std::vector<std::uint64_t> built_from_;  // raw list of the CSR
   mutable std::vector<NodeId> nodes_;           // sorted unique endpoints
   mutable std::vector<std::uint32_t> offsets_;  // node_count() + 1
   mutable std::vector<std::uint32_t> targets_;  // indices into nodes_

@@ -232,9 +232,11 @@ void Engine::run_window(sim::Time end) {
   const auto lane_window = [this, end, obs_ctx](unsigned lane) {
     obs::Scope obs_scope{obs_ctx, lane};
     const auto begin = shards_[lane]->now();
+    const obs::WallTimer wall;
     exec_lane(lane, end);
     obs::hit(obs::Hot::kPsimWindows);
-    obs::span(obs::SpanName::kPsimWindow, begin, shards_[lane]->now(), lane);
+    obs::span(obs::SpanName::kPsimWindow, begin, shards_[lane]->now(), lane,
+              wall.elapsed_ns());
   };
   if (pool_) {
     pool_->run(shards(), lane_window);

@@ -201,9 +201,11 @@ void TrustExperiment::setup() {
   if (injector_ && network_->sharded() == nullptr) injector_->arm();
   // Let OLSR converge: links become symmetric after two HELLO exchanges;
   // give the cluster a comfortable margin.
+  const obs::WallTimer wall;
   const auto begin = network_->now();
   drive(sim::Duration::from_seconds(15.0));
-  obs::span(obs::SpanName::kSetupConverge, begin, network_->now());
+  obs::span(obs::SpanName::kSetupConverge, begin, network_->now(), 0,
+            wall.elapsed_ns());
 }
 
 core::DetectionReport TrustExperiment::run_investigation(
@@ -237,6 +239,7 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_round() {
   RoundSnapshot snap;
   snap.round = ++round_counter_;
   const auto round_begin = network_->now();
+  const obs::WallTimer wall;
 
   // Verifiers: every bystander (the attacker's 1-hop neighbors, §IV-B).
   std::vector<NodeId> verifiers;
@@ -255,7 +258,7 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_round() {
     snap.trust[id] = detector_->trust_store().trust(id);
   }
   obs::span(obs::SpanName::kRound, round_begin, network_->now(),
-            static_cast<std::uint64_t>(snap.round));
+            static_cast<std::uint64_t>(snap.round), wall.elapsed_ns());
   return snap;
 }
 
@@ -263,6 +266,7 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_grayhole_round() {
   RoundSnapshot snap;
   snap.round = ++round_counter_;
   const auto round_begin = network_->now();
+  const obs::WallTimer wall;
 
   // Detection is scan-driven, not claim-driven: pad to the round's 5 s
   // slot so third-party floods accumulate (and the attacker drops its
@@ -322,7 +326,7 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_grayhole_round() {
     snap.trust[id] = detector_->trust_store().trust(id);
   }
   obs::span(obs::SpanName::kRound, round_begin, network_->now(),
-            static_cast<std::uint64_t>(snap.round));
+            static_cast<std::uint64_t>(snap.round), wall.elapsed_ns());
   return snap;
 }
 
@@ -389,13 +393,14 @@ TrustExperiment::RoundSnapshot TrustExperiment::run_idle_round() {
   RoundSnapshot snap;
   snap.round = ++round_counter_;
   const auto round_begin = network_->now();
+  const obs::WallTimer wall;
   // Through the pipeline, not the trust store directly: the decay is an
   // audit-stream event (kDecay frame), so a recorded run replays it.
   detector_->pipeline().consume_decay(network_->now());
   drive(sim::Duration::from_seconds(2.0));
   snap.at = network_->now();
   obs::span(obs::SpanName::kIdleRound, round_begin, network_->now(),
-            static_cast<std::uint64_t>(snap.round));
+            static_cast<std::uint64_t>(snap.round), wall.elapsed_ns());
   for (std::size_t i = 1; i < config_.num_nodes; ++i) {
     const auto id = Network::id_of(i);
     snap.trust[id] = detector_->trust_store().trust(id);

@@ -356,6 +356,106 @@ TEST(GoldenGuard, MetricsSnapshotIdenticalAcrossRunnerThreads) {
   EXPECT_EQ(run(1), run(4));
 }
 
+std::uint64_t hot_total(const std::vector<runtime::ReplicationResult>& results,
+                        obs::Hot h) {
+  std::uint64_t total = 0;
+  for (const auto& r : results)
+    total += r.metrics.counter_value(obs::hot_name(h));
+  return total;
+}
+
+TEST(GoldenGuard, GraphWorkCountersIdenticalAcrossRunnerThreads) {
+  // Each agent's knowledge-graph memo is replication state, so the
+  // rebuild/reuse split is a deterministic work count: the same for any
+  // Runner thread count and (sharded) any worker count.
+  for (const auto engine :
+       {sim::EngineKind::kSequential, sim::EngineKind::kSharded}) {
+    const auto spec = guard_spec(true, engine);
+    const auto run = [&spec](unsigned threads) {
+      runtime::Runner::Config rc;
+      rc.threads = threads;
+      runtime::Runner runner{rc};
+      const auto results = runner.run(spec);
+      return std::pair{hot_total(results, obs::Hot::kGraphBuilds),
+                       hot_total(results, obs::Hot::kGraphReuses)};
+    };
+    const auto one = run(1);
+    EXPECT_GT(one.first, 0u);
+    EXPECT_GT(one.second, 0u);
+    EXPECT_EQ(run(4), one) << "engine " << static_cast<int>(engine);
+  }
+}
+
+// --- profiling overlay (--trace-wallclock) -----------------------------------
+
+std::vector<runtime::ReplicationResult> traced_run(bool wallclock) {
+  auto spec = guard_spec(true, sim::EngineKind::kSequential);
+  spec.trace_wallclock = wallclock;
+  runtime::Runner::Config rc;
+  rc.threads = 1;
+  return runtime::Runner{rc}.run(spec);
+}
+
+TEST(WallclockOverlay, StampsSetupAndRoundSpans) {
+  std::size_t setups = 0, rounds = 0;
+  for (const auto& r : traced_run(true)) {
+    for (const auto& e : r.trace) {
+      if (e.name == obs::SpanName::kSetupConverge) {
+        ++setups;
+        EXPECT_GT(e.wall_ns, 0u);
+      } else if (e.name == obs::SpanName::kRound) {
+        ++rounds;
+        EXPECT_GT(e.wall_ns, 0u);
+      }
+    }
+  }
+  EXPECT_EQ(setups, 2u);
+  EXPECT_EQ(rounds, 8u);
+}
+
+TEST(WallclockOverlay, ShardedWindowsStampedOnlyWhenOn) {
+  auto spec = guard_spec(true, sim::EngineKind::kSharded);
+  spec.rounds = 1;
+  spec.seeds.resize(1);
+  for (const bool wallclock : {false, true}) {
+    spec.trace_wallclock = wallclock;
+    runtime::Runner::Config rc;
+    rc.threads = 1;
+    std::size_t windows = 0;
+    for (const auto& r : runtime::Runner{rc}.run(spec))
+      for (const auto& e : r.trace)
+        if (e.name == obs::SpanName::kPsimWindow) {
+          ++windows;
+          EXPECT_EQ(e.wall_ns > 0, wallclock);
+        }
+    EXPECT_GT(windows, 0u);
+  }
+}
+
+// FNV-1a 64 of trace_json_multi over traced_run(false), computed before
+// any span site passed a wall time.
+constexpr std::uint64_t kTraceJsonHash = 0x51661A7733282639ull;
+
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(WallclockOverlay, OffLeavesTheTraceUntouched) {
+  const auto results = traced_run(false);
+  std::vector<std::pair<std::uint64_t, std::vector<obs::TraceEvent>>> groups;
+  for (const auto& r : results) {
+    for (const auto& e : r.trace) EXPECT_EQ(e.wall_ns, 0u);
+    groups.emplace_back(r.task_index, r.trace);
+  }
+  // With the overlay off the JSON must not move by one byte.
+  EXPECT_EQ(fnv1a64(obs::trace_json_multi(groups)), kTraceJsonHash);
+}
+
 TEST(GoldenGuard, AuditLogIdenticalWithObservabilityOn) {
   const auto record = [](bool observed) {
     scenario::TrustExperiment::Config config;

@@ -8,27 +8,49 @@
 // (save/restore throughput at 256 and 1024 nodes), plus the audit-event
 // detection pipeline (in-memory consume and binary-log replay at 256 and
 // 1024 peer streams, the kForwardAudit frame path, and the end-to-end
-// grayhole detection round), and the observability-layer gauges (disabled
-// and enabled counter record, span record, registry snapshot) — with
-// repeated runs and median aggregates, and
-// writes the results to BENCH_10.json: the current point of this repo's
+// grayhole detection round), the observability-layer gauges (disabled
+// and enabled counter record, span record, registry snapshot) and the
+// knowledge-graph build from converged agents' tables (memo hit and
+// forced rebuild) — with repeated runs and median aggregates, and writes
+// the results to the JSON file named by --out: one point of this repo's
 // recorded perf trajectory (see docs/BENCHMARKING.md for the whole series
 // and its comparability rules; tools/bench_diff.py prints median deltas
 // between consecutive BENCH_N files).
 //
-// Extra --benchmark_* flags are appended after the defaults, so e.g.
-//   bench_report --benchmark_min_time=0.01s --benchmark_repetitions=2
-// gives a quick CI smoke run.
+//   bench_report --out BENCH_13.json
+//
+// Extra --benchmark_* flags are appended after the defaults, so adding
+// --benchmark_min_time=0.01s --benchmark_repetitions=2 gives a quick CI
+// smoke run.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 int main(int argc, char** argv) {
+  std::string out;
+  std::vector<std::string> extra;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--out" && i + 1 < argc) {
+      out = argv[++i];
+    } else {
+      extra.push_back(arg);
+    }
+  }
+  if (out.empty()) {
+    std::fprintf(stderr,
+                 "usage: %s --out FILE [--benchmark_* flags]\n"
+                 "writes the gauge report (Google Benchmark JSON) to FILE\n",
+                 argv[0]);
+    return 2;
+  }
+
   std::vector<std::string> args = {
       argv[0],
-      "--benchmark_out=BENCH_10.json",
+      "--benchmark_out=" + out,
       "--benchmark_out_format=json",
       "--benchmark_repetitions=5",
       "--benchmark_report_aggregates_only=true",
@@ -41,9 +63,10 @@ int main(int argc, char** argv) {
       "BM_CheckpointSave|BM_CheckpointRestore|"
       "BM_DetectConsume|BM_AuditReplay|BM_AuditDecode|"
       "BM_ForwardAuditConsume|BM_GrayholeRound|"
-      "BM_CounterInc|BM_SpanEnterExit|BM_SpanDisabled|BM_RegistrySnapshot",
+      "BM_CounterInc|BM_SpanEnterExit|BM_SpanDisabled|BM_RegistrySnapshot|"
+      "BM_KnowledgeGraphBuild",
   };
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
+  args.insert(args.end(), extra.begin(), extra.end());
 
   std::vector<char*> argv2;
   argv2.reserve(args.size());
