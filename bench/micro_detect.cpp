@@ -2,11 +2,14 @@
 // consumption throughput (records/s into Eq. 8-10 + trust updates),
 // end-to-end offline replay (binary decode + consume) over the recorded
 // audit-log format — the gauges behind the manet_detect offline path —
-// plus the forwarding-audit frame path and the end-to-end grayhole round
-// (flood accumulation + drop + scan + pooled investigation).
+// plus the forwarding-audit frame path, the end-to-end grayhole round
+// (flood accumulation + drop + scan + pooled investigation) and one
+// bystander's log-derived answer to an investigation query.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -192,3 +195,32 @@ static void BM_AuditDecode(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes.size()));
 }
 BENCHMARK(BM_AuditDecode);
+
+// One bystander's answer to the attacker's phantom claim on a converged
+// N-node network: the log query every verifier runs per investigation
+// (core::InvestigationManager::honest_observation). Nobody but the
+// attacker lists the phantom, so the answer reads the bystander's whole
+// retained HELLO and TC history.
+static void BM_HonestObservation(benchmark::State& state) {
+  const auto nodes = static_cast<std::size_t>(state.range(0));
+  static std::map<std::size_t, std::unique_ptr<scenario::TrustExperiment>>
+      converged;
+  auto& exp = converged[nodes];
+  if (!exp) {
+    scenario::TrustExperiment::Config config;
+    config.seed = 1;
+    config.num_nodes = nodes;
+    config.num_liars = nodes / 4;
+    exp = std::make_unique<scenario::TrustExperiment>(config);
+    exp->setup();
+  }
+  core::LinkQuery query;
+  query.suspect = exp->attacker();
+  query.subject = exp->phantom();
+  query.claimed_up = true;
+  auto& bystander = exp->network().investigations(exp->honest().front().value());
+  for (auto _ : state)
+    benchmark::DoNotOptimize(bystander.honest_observation(query));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HonestObservation)->Arg(16)->Arg(64);

@@ -4,9 +4,18 @@
 #include <stdexcept>
 
 #include "core/signatures_olsr.hpp"
-#include "logging/format.hpp"
+#include "obs/obs.hpp"
 
 namespace manet::core {
+namespace {
+
+/// Counts one IDS log query that examined `visited` records.
+void count_query(std::size_t visited) {
+  obs::hit(obs::Hot::kIdsLogQueries);
+  obs::hit(obs::Hot::kIdsLogRecordsVisited, visited);
+}
+
+}  // namespace
 
 PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config) {
   PipelineConfig p;
@@ -111,22 +120,22 @@ bool Detector::in_cooldown(NodeId suspect, NodeId subject) const {
 
 std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
   // Log-derived: the freshest HELLO heard from the suspect names its
-  // advertised neighbors; any node whose HELLO lists the suspect is also a
-  // believed neighbor. Falls back to the 2-hop table exposed via logs.
+  // advertised neighbors; any node whose latest HELLO lists the suspect is
+  // also a believed neighbor.
+  const auto& log = agent_.log();
   std::set<NodeId> out;
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  std::map<NodeId, std::vector<NodeId>> latest_sym;
-  for (const auto& rec : hellos)
-    latest_sym[rec.node_field("from")] = rec.node_list_field("sym");
-
-  auto it = latest_sym.find(suspect);
-  if (it != latest_sym.end())
-    for (auto n : it->second) out.insert(n);
-  for (const auto& [from, sym] : latest_sym) {
+  if (const auto* rec = log.latest_hello_from(suspect)) {
+    const auto& sym = rec->node_list_field("sym");
+    out.insert(sym.begin(), sym.end());
+  }
+  const auto latest = log.latest_hellos();
+  for (const auto& [from, rec] : latest) {
     if (from == suspect) continue;
+    const auto& sym = rec->node_list_field("sym");
     if (std::find(sym.begin(), sym.end(), suspect) != sym.end())
       out.insert(from);
   }
+  count_query(latest.size());
   out.erase(agent_.id());
   out.erase(suspect);
   return {out.begin(), out.end()};
@@ -135,26 +144,39 @@ std::vector<NodeId> Detector::believed_neighbors_of(NodeId suspect) const {
 std::size_t Detector::scan_once() {
   // The new log growth reaches the pipeline first (kLine events keep its
   // liveness oracle exactly as fresh as the log), then the IDS reads the
-  // same growth as *text*, like a real log analyzer.
+  // same growth in place from the store.
   feed_log_growth();
-  const auto text = agent_.log().text_since(last_scan_);
+  std::vector<const logging::LogRecord*> batch;
+  for (const auto& rec : agent_.log().records_since(last_scan_))
+    batch.push_back(&rec);
   last_scan_ = sim_.now();
-  auto records = logging::parse_log(text);
+  count_query(batch.size());
 
   // Synthesize mpr_fwd_timeout records for E2 (drop) detection before
-  // feeding the matcher, so the drop signature can fire.
-  check_forward_timeouts(records);
+  // feeding the matcher, so the drop signature can fire. Synthesized
+  // records live in a deque so the batch's pointers to them stay valid.
+  std::deque<logging::LogRecord> synthesized;
+  check_forward_timeouts(batch, synthesized);
 
   // Forwarding audit (grayhole path): close expired flood windows, stream
   // the tallies (observability frames), and synthesize fwd_audit_fail
   // records so the matcher can fire on failing MPRs.
   if (config_.forwarding_audit) {
-    for (const auto& tally : auditor_.sweep(sim_.now(), records))
+    for (const auto* rec : batch) auditor_.ingest(*rec);
+    std::vector<logging::LogRecord> failures;
+    for (const auto& tally : auditor_.sweep(sim_.now(), failures))
       pipeline_.consume_forward_audit(sim_.now(), tally);
+    for (auto& fail : failures) {
+      synthesized.push_back(std::move(fail));
+      batch.push_back(&synthesized.back());
+    }
   }
 
+  // The matcher runs before any investigation is launched: launching one
+  // appends to the log, which may retire records the batch points at.
+  const auto matches = matcher_.feed_all(batch);
   std::size_t launched = 0;
-  process_records(records, launched);
+  process_matches(matches, launched);
 
   // Periodic MPR audit (§III-B: non-event-driven cases are "handled by
   // launching periodical/random checks"): cross-check every currently
@@ -171,20 +193,21 @@ std::size_t Detector::scan_once() {
 }
 
 void Detector::check_forward_timeouts(
-    std::vector<logging::LogRecord>& synthesized) {
+    std::vector<const logging::LogRecord*>& batch,
+    std::deque<logging::LogRecord>& synthesized) {
   // Track our own TC emissions and which MPRs echoed them, purely from the
   // log records that arrive.
-  for (const auto& rec : synthesized) {
-    if (rec.event == "mpr_changed") {
-      const auto mprs = rec.node_list_field("mprs");
+  for (const auto* rec : batch) {
+    if (rec->event == "mpr_changed") {
+      const auto& mprs = rec->node_list_field("mprs");
       current_mprs_ = {mprs.begin(), mprs.end()};
-    } else if (rec.event == "tc_sent") {
+    } else if (rec->event == "tc_sent") {
       pending_tcs_.push_back(
-          SentTc{rec.time, rec.int_field("seq"), current_mprs_, {}});
-    } else if (rec.event == "own_fwd_heard") {
-      const auto seq = rec.int_field("seq");
+          SentTc{rec->time, rec->int_field("seq"), current_mprs_, {}});
+    } else if (rec->event == "own_fwd_heard") {
+      const auto seq = rec->int_field("seq");
       for (auto& tc : pending_tcs_)
-        if (tc.seq == seq) tc.heard_from.insert(rec.node_field("by"));
+        if (tc.seq == seq) tc.heard_from.insert(rec->node_field("by"));
     }
   }
 
@@ -195,20 +218,18 @@ void Detector::check_forward_timeouts(
     pending_tcs_.pop_front();
     for (auto mpr : tc.mprs_then) {
       if (tc.heard_from.contains(mpr)) continue;
-      logging::LogRecord r;
+      auto& r = synthesized.emplace_back();
       r.time = now;
       r.node = agent_.id();
       r.event = "mpr_fwd_timeout";
       r.with("mpr", mpr).with("seq", tc.seq);
-      synthesized.push_back(std::move(r));
+      batch.push_back(&r);
     }
   }
 }
 
-void Detector::process_records(const std::vector<logging::LogRecord>& records,
+void Detector::process_matches(const std::vector<SignatureMatch>& matches,
                                std::size_t& launched) {
-  const auto matches = matcher_.feed_all(records);
-
   for (const auto& m : matches) {
     if (m.signature == "link_spoofing_claim") {
       // Records: [0] HELLO from suspect I claiming I-X, [1] HELLO from X.
@@ -226,7 +247,8 @@ void Detector::process_records(const std::vector<logging::LogRecord>& records,
                         {EvidenceTag::kSignatureMatch});
       ++launched;
     } else if (m.signature == "broadcast_storm") {
-      const auto suspect = net::NodeId::parse(m.correlated_value);
+      // Correlated on "orig": every matched tc_recv names the suspect.
+      const auto suspect = m.records[0].node_field("orig");
       if (in_cooldown(suspect, agent_.id())) continue;
       investigate_claim(suspect, agent_.id(), /*claimed_up=*/true,
                         {EvidenceTag::kE2MprMisbehaving,
@@ -276,8 +298,7 @@ void Detector::process_records(const std::vector<logging::LogRecord>& records,
       // a suspicious initial selection. Each added MPR's advertised links
       // are cross-checked against *independent* local knowledge; only
       // uncorroborated or contradicted links go to investigation.
-      const auto added = m.records[0].node_list_field("added");
-      for (auto suspect : added) {
+      for (auto suspect : m.records[0].node_list_field("added")) {
         for (auto x : find_disputed_links(suspect)) {
           if (in_cooldown(suspect, x)) continue;
           investigate_claim(suspect, x, /*claimed_up=*/true,
@@ -293,31 +314,35 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
                                                   std::size_t max_links) const {
   // Freshest advertised neighbor list of the suspect, plus per-origin
   // latest HELLO contents — all from the local log.
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  std::map<NodeId, std::vector<NodeId>> latest_sym;
-  for (const auto& rec : hellos)
-    latest_sym[rec.node_field("from")] = rec.node_list_field("sym");
-
-  auto it = latest_sym.find(suspect);
-  if (it == latest_sym.end()) return {};
+  const auto& log = agent_.log();
+  const auto* claims = log.latest_hello_from(suspect);
+  if (!claims) {
+    count_query(0);
+    return {};
+  }
 
   // Nodes independently evidenced: heard directly, originated a TC, were
   // advertised in a TC, or listed by a third party's HELLO.
   std::set<NodeId> independent;
-  for (const auto& [from, sym] : latest_sym) {
+  const auto latest = log.latest_hellos();
+  for (const auto& [from, rec] : latest) {
     independent.insert(from);
     if (from == suspect) continue;
+    const auto& sym = rec->node_list_field("sym");
     independent.insert(sym.begin(), sym.end());
   }
-  for (const auto& rec : agent_.log().records_with_event("tc_recv")) {
-    independent.insert(rec.node_field("orig"));
-    if (rec.node_field("orig") == suspect) continue;
-    const auto adv = rec.node_list_field("adv");
+  const auto tcs = log.records_with_event("tc_recv");
+  for (const auto& rec : tcs) {
+    const auto orig = rec.node_field("orig");
+    independent.insert(orig);
+    if (orig == suspect) continue;
+    const auto& adv = rec.node_list_field("adv");
     independent.insert(adv.begin(), adv.end());
   }
+  count_query(latest.size() + tcs.size());
 
   std::vector<NodeId> disputed;
-  for (auto x : it->second) {
+  for (auto x : claims->node_list_field("sym")) {
     if (disputed.size() >= max_links) break;
     if (x == agent_.id()) continue;
     // Uncorroborated neighbor: nobody but the suspect has ever mentioned x.
@@ -326,11 +351,11 @@ std::vector<NodeId> Detector::find_disputed_links(NodeId suspect,
       continue;
     }
     // Contradicted neighbor: x's own freshest HELLO omits the suspect.
-    auto xh = latest_sym.find(x);
-    if (xh != latest_sym.end() &&
-        std::find(xh->second.begin(), xh->second.end(), suspect) ==
-            xh->second.end())
-      disputed.push_back(x);
+    if (const auto* xh = log.latest_hello_from(x)) {
+      const auto& x_sym = xh->node_list_field("sym");
+      if (std::find(x_sym.begin(), x_sym.end(), suspect) == x_sym.end())
+        disputed.push_back(x);
+    }
   }
   return disputed;
 }

@@ -61,10 +61,11 @@ struct DetectorConfig {
 PipelineConfig pipeline_config(NodeId self, const DetectorConfig& config);
 
 /// The paper's distributed, log- and signature-based intrusion detector,
-/// one instance per participating node. It periodically re-reads the
-/// node's audit log **as text** (never touching protocol state), matches it
-/// against the OLSR attack signatures, derives the E1-E3 triggers of
-/// Expression 4, and launches cooperative investigations.
+/// one instance per participating node. It periodically reads the growth of
+/// the node's audit log — only the log, never protocol state — through the
+/// LogStore's typed, in-place queries, matches it against the OLSR attack
+/// signatures, derives the E1-E3 triggers of Expression 4, and launches
+/// cooperative investigations.
 ///
 /// The detector is the *producer* half of the detection stack: everything
 /// downstream of a completed round — Eq. 8 aggregation, the Eq. 9-10
@@ -177,9 +178,13 @@ class Detector {
  private:
   void on_round_complete(const RoundResult& result,
                          std::vector<EvidenceTag> tags);
-  void process_records(const std::vector<logging::LogRecord>& records,
+  void process_matches(const std::vector<SignatureMatch>& matches,
                        std::size_t& launched);
-  void check_forward_timeouts(std::vector<logging::LogRecord>& synthesized);
+  /// Appends mpr_fwd_timeout records to `synthesized` and points `batch`
+  /// at them.
+  void check_forward_timeouts(std::vector<const logging::LogRecord*>& batch,
+                              std::deque<logging::LogRecord>& synthesized);
+
   bool in_cooldown(NodeId suspect, NodeId subject) const;
 
   sim::Engine& sim_;

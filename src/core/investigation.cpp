@@ -1,8 +1,8 @@
 #include "core/investigation.hpp"
 
 #include <algorithm>
+#include <ranges>
 
-#include "logging/format.hpp"
 #include "net/byte_codec.hpp"
 #include "obs/obs.hpp"
 #include "olsr/wire.hpp"
@@ -111,15 +111,31 @@ void InvestigationManager::on_data(const olsr::DataMessage& message) {
 
 double InvestigationManager::honest_observation(const LinkQuery& query) const {
   const auto now = sim_.now();
+  const auto& log = agent_.log();
+  const auto fresh = [&](const logging::LogRecord& rec) {
+    return now - rec.time <= config_.hello_freshness;
+  };
+  const auto lists = [](const logging::LogRecord& rec, NodeId id) {
+    const auto& sym = rec.node_list_field("sym");
+    return std::find(sym.begin(), sym.end(), id) != sym.end();
+  };
+  // One IDS log query; `visited` counts the records it examines.
+  std::uint64_t visited = 0;
+  const auto answer = [&visited](double evidence) {
+    obs::hit(obs::Hot::kIdsLogQueries);
+    obs::hit(obs::Hot::kIdsLogRecordsVisited, visited);
+    return evidence;
+  };
 
   if (query.kind == QueryKind::kForwarding) {
     // Did we select the suspect as MPR, and did it retransmit our messages?
     if (!agent_.is_mpr(query.suspect)) return 0.0;
-    for (const auto& rec : agent_.log().records_with_event("own_fwd_heard")) {
-      if (now - rec.time > config_.hello_freshness) continue;
-      if (rec.node_field("by") == query.suspect) return +1.0;
+    for (const auto& rec : log.records_with_event("own_fwd_heard")) {
+      ++visited;
+      if (!fresh(rec)) continue;
+      if (rec.node_field("by") == query.suspect) return answer(+1.0);
     }
-    return -1.0;  // our MPR, but no forward observed recently
+    return answer(-1.0);  // our MPR, but no forward observed recently
   }
 
   // kLinkStatus: is the link suspect-subject up? Evidence must come from
@@ -139,45 +155,42 @@ double InvestigationManager::honest_observation(const LinkQuery& query) const {
   // Consult our own audit log: the freshest HELLO heard directly from the
   // subject tells us whether it considers the suspect a neighbor; if it
   // does, the suspect's freshest HELLO must reciprocate for the link to be
-  // symmetric (a one-sided listing is not an up link).
-  const auto hellos = agent_.log().records_with_event("hello_recv");
-  for (auto it = hellos.rbegin(); it != hellos.rend(); ++it) {
-    if (now - it->time > config_.hello_freshness) break;  // older only
-    if (it->node_field("from") != query.subject) continue;
-    const auto sym = it->node_list_field("sym");
-    const bool subject_lists =
-        std::find(sym.begin(), sym.end(), query.suspect) != sym.end();
-    if (!subject_lists) return -1.0;
-    for (auto jt = hellos.rbegin(); jt != hellos.rend(); ++jt) {
-      if (now - jt->time > config_.hello_freshness) break;
-      if (jt->node_field("from") != query.suspect) continue;
-      const auto ssym = jt->node_list_field("sym");
-      const bool reciprocated =
-          std::find(ssym.begin(), ssym.end(), query.subject) != ssym.end();
-      return reciprocated ? +1.0 : -1.0;
+  // symmetric (a one-sided listing is not an up link). Each sender's
+  // newest HELLO is the freshest one; if it is stale, all of them are.
+  const auto* from_subject = log.latest_hello_from(query.subject);
+  if (from_subject && fresh(*from_subject)) {
+    ++visited;
+    if (!lists(*from_subject, query.suspect)) return answer(-1.0);
+    const auto* from_suspect = log.latest_hello_from(query.suspect);
+    if (from_suspect && fresh(*from_suspect)) {
+      ++visited;
+      return answer(lists(*from_suspect, query.subject) ? +1.0 : -1.0);
     }
-    return +1.0;  // subject vouches; suspect unheard locally
+    return answer(+1.0);  // subject vouches; suspect unheard locally
   }
 
   // Never heard the subject directly. Look for evidence of its existence
   // that does NOT trace back to the suspect itself: a TC it originated, a
   // TC advertising it, or a HELLO from a third node listing it. If no
   // independent trace exists, the advertised link points at a phantom.
-  for (const auto& rec : agent_.log().records_with_event("tc_recv")) {
-    if (rec.node_field("orig") == query.subject) return 0.0;
-    const auto adv = rec.node_list_field("adv");
-    if (rec.node_field("orig") != query.suspect &&
+  for (const auto& rec : log.records_with_event("tc_recv")) {
+    ++visited;
+    const auto orig = rec.node_field("orig");
+    if (orig == query.subject) return answer(0.0);
+    const auto& adv = rec.node_list_field("adv");
+    if (orig != query.suspect &&
         std::find(adv.begin(), adv.end(), query.subject) != adv.end())
-      return 0.0;
+      return answer(0.0);
   }
-  for (auto it = hellos.rbegin(); it != hellos.rend(); ++it) {
-    const auto from = it->node_field("from");
+  for (const auto& rec :
+       log.records_with_event("hello_recv") | std::views::reverse) {
+    ++visited;
+    const auto from = rec.node_field("from");
     if (from == query.suspect || from == query.subject) continue;
-    const auto sym = it->node_list_field("sym");
-    if (std::find(sym.begin(), sym.end(), query.subject) != sym.end())
-      return 0.0;  // a third party vouches the subject exists
+    if (lists(rec, query.subject))
+      return answer(0.0);  // a third party vouches the subject exists
   }
-  return -1.0;
+  return answer(-1.0);
 }
 
 void InvestigationManager::handle_query(NodeId requester,

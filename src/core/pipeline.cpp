@@ -409,12 +409,13 @@ bool AuditStreamReader::next(AuditEvent& out) {
   if (reader_.at_end()) return false;
   const auto frame = reader_.begin_frame();
   out.kind = frame.kind;
-  out.line = {};
+  // A kLine frame decodes into the previous line's storage.
+  if (frame.kind != logging::AuditFrame::kLine) out.line = {};
   out.round = {};
   out.audit = {};
   switch (frame.kind) {
     case logging::AuditFrame::kLine:
-      out.line = logging::read_record(reader_);
+      logging::read_record(reader_, out.line);
       out.time = out.line.time;
       break;
     case logging::AuditFrame::kRound:

@@ -48,7 +48,7 @@ struct SignatureMatch {
   std::string correlated_value;  ///< value of correlate_field, if any
 };
 
-/// Streaming matcher: feed parsed log records in time order; completed
+/// Streaming matcher: feed log records in time order; completed
 /// matches accumulate and can be drained. Partial matches expire once their
 /// window passes, so memory stays bounded.
 class SignatureMatcher {
@@ -58,9 +58,9 @@ class SignatureMatcher {
   /// Feeds one record; returns matches completed by this record.
   std::vector<SignatureMatch> feed(const logging::LogRecord& record);
 
-  /// Feeds a batch (convenience for scan-based detectors).
+  /// Feeds a batch read in place (scan-based detectors).
   std::vector<SignatureMatch> feed_all(
-      const std::vector<logging::LogRecord>& records);
+      const std::vector<const logging::LogRecord*>& records);
 
   std::size_t signature_count() const { return signatures_.size(); }
   std::size_t partial_count() const;
@@ -71,8 +71,8 @@ class SignatureMatcher {
     /// Matched record per step (nullopt until the step matches).
     std::vector<std::optional<logging::LogRecord>> matched;
     sim::Time first_event;
-    std::string correlated_value;
-    bool has_correlated_value = false;
+    /// The correlate_field of the first matched record, once set.
+    std::optional<logging::LogField> correlated;
   };
 
   bool try_extend(Partial& partial, const logging::LogRecord& record);

@@ -27,7 +27,7 @@ void ForwardingAuditor::ingest(const logging::LogRecord& record) {
     else
       always_.erase(from);
   } else if (record.event == "mpr_changed") {
-    const auto mprs = record.node_list_field("mprs");
+    const auto& mprs = record.node_list_field("mprs");
     current_mprs_ = {mprs.begin(), mprs.end()};
   } else if (record.event == "tc_recv") {
     const auto orig = record.node_field("orig");

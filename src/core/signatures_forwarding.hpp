@@ -45,7 +45,7 @@ struct ForwardAudit {
   std::uint64_t forwarded = 0;
 };
 
-/// Streaming auditor over one node's parsed log records. Scope: only MPRs
+/// Streaming auditor over one node's log records. Scope: only MPRs
 /// that advertise WILL_ALWAYS are audited on third-party floods — a
 /// WILL_ALWAYS node is selected MPR by *every* neighbor (RFC 3626 §8.3.1
 /// step 1), so it is obliged to re-forward any fresh flood it hears,
@@ -67,6 +67,10 @@ class ForwardingAuditor {
   /// Returns every non-empty tally of the closed window, sorted by MPR.
   std::vector<ForwardAudit> sweep(sim::Time now,
                                   std::vector<logging::LogRecord>& records);
+
+  /// Ingests one record ahead of a sweep (the detector feeds its scan
+  /// batch in place this way and sweeps an empty `records`).
+  void ingest(const logging::LogRecord& record);
 
   /// One flood awaiting the audited MPRs' re-broadcasts (public for
   /// checkpointing).
@@ -90,7 +94,6 @@ class ForwardingAuditor {
   void restore(const Persisted& p);
 
  private:
-  void ingest(const logging::LogRecord& record);
   void credit(NodeId orig, std::int64_t seq, NodeId by);
 
   NodeId self_;

@@ -1,6 +1,7 @@
 #include "core/signatures_olsr.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace manet::core {
 namespace {
@@ -9,8 +10,10 @@ bool is_event(const logging::LogRecord& r, std::string_view name) {
   return r.event == name;
 }
 
-std::vector<net::NodeId> sym_list(const logging::LogRecord& r) {
-  return r.node_list_field("sym");
+bool lists(const logging::LogRecord& r, std::string_view key,
+           net::NodeId id) {
+  const auto& ids = r.node_list_field(key);
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
 }
 
 }  // namespace
@@ -36,12 +39,8 @@ Signature link_spoofing_claim_signature(sim::Duration window) {
     const auto i = from_i.node_field("from");
     const auto x = from_x.node_field("from");
     if (i == x) return false;
-    // I claims X symmetric...
-    const auto i_sym = sym_list(from_i);
-    if (std::find(i_sym.begin(), i_sym.end(), x) == i_sym.end()) return false;
-    // ...but X's own HELLO does not list I.
-    const auto x_sym = sym_list(from_x);
-    return std::find(x_sym.begin(), x_sym.end(), i) == x_sym.end();
+    // I claims X symmetric, but X's own HELLO does not list I.
+    return lists(from_i, "sym", x) && !lists(from_x, "sym", i);
   };
   return sig;
 }
@@ -64,18 +63,12 @@ Signature link_omission_signature(sim::Duration window) {
     const auto x = from_x.node_field("from");
     const auto i = from_i.node_field("from");
     if (i == x) return false;
-    const auto x_sym = sym_list(from_x);
-    if (std::find(x_sym.begin(), x_sym.end(), i) == x_sym.end()) return false;
+    if (!lists(from_x, "sym", i)) return false;
     // A true omission lists X neither as symmetric nor as a heard (ASYM)
     // link; transitional link-sensing states advertise X as ASYM and must
     // not fire the signature.
-    const auto i_sym = sym_list(from_i);
-    if (std::find(i_sym.begin(), i_sym.end(), x) != i_sym.end()) return false;
-    if (auto asym = from_i.field("asym")) {
-      for (const auto& part : logging::split_list(*asym))
-        if (net::NodeId::parse(part) == x) return false;
-    }
-    return true;
+    if (lists(from_i, "sym", x)) return false;
+    return !(from_i.find("asym") && lists(from_i, "asym", x));
   };
   return sig;
 }
@@ -109,7 +102,11 @@ Signature drop_signature(sim::Duration window) {
   sig.steps[1].after = {0};
   sig.constraint = [](const std::vector<const logging::LogRecord*>& recs) {
     if (recs[0] == nullptr || recs[1] == nullptr) return false;
-    return recs[0]->field_or_throw("seq") == recs[1]->field_or_throw("seq");
+    const auto* seq = recs[0]->find("seq");
+    const auto* echo = recs[1]->find("seq");
+    if (!seq || !echo)
+      throw std::invalid_argument{"log record missing field: seq"};
+    return seq->value == echo->value;
   };
   return sig;
 }
@@ -126,8 +123,8 @@ Signature mpr_replacement_signature() {
   // advertised links cannot be corroborated independently.
   sig.steps[0].pattern = {"mpr_changed", [](const logging::LogRecord& r) {
                             if (!is_event(r, "mpr_changed")) return false;
-                            const auto added = r.field("added");
-                            return added && !added->empty();
+                            const auto* added = r.find("added");
+                            return added && !added->ids().empty();
                           }};
   return sig;
 }

@@ -10,8 +10,13 @@ void write_record(net::ByteWriter<std::endian::little>& w,
   w.node(record.node);
   w.str(record.event);
   w.count(record.fields.size());
-  for (const auto& [key, value] : record.fields) {
-    w.str(key);
+  // Values go out as their text form, the v2 layout; the scratch buffer
+  // keeps rendering ids allocation-free after its first growth.
+  thread_local std::string value;
+  for (const auto& field : record.fields) {
+    w.str(field.key);
+    value.clear();
+    field.render(value);
     w.str(value);
   }
 }

@@ -39,7 +39,9 @@ enum class AuditFrame : std::uint8_t {
 
 /// Byte layout of one LogRecord — time, node, event, field count, then the
 /// key/value strings — shared by audit kLine frames and the checkpoint's
-/// log images.
+/// log images. Node and node-list values are written as their text form
+/// (LogField::render) and read back into ids, so the bytes are those of a
+/// record whose values were all strings.
 void write_record(net::ByteWriter<std::endian::little>& w,
                   const LogRecord& record);
 
@@ -49,19 +51,30 @@ void write_record(net::ByteWriter<std::endian::little>& w,
 inline constexpr std::size_t kRecordFieldMinBytes = 16;
 inline constexpr std::size_t kRecordMinBytes = 28;
 
+/// Reads one record written by write_record into `record`, reusing its
+/// storage (a replay decoding into one record allocates only to grow); a
+/// node or node-list value that is not ids throws `Error`.
+template <class Error>
+void read_record(net::ByteReader<std::endian::little, Error>& r,
+                 LogRecord& record) {
+  record.time = r.time();
+  record.node = r.node();
+  record.event.assign(r.str());
+  record.fields.resize(r.count(kRecordFieldMinBytes));
+  for (auto& field : record.fields) {
+    field.key.assign(r.str());
+    try {
+      field.parse_value(r.str());
+    } catch (const std::invalid_argument& e) {
+      throw Error{e.what()};
+    }
+  }
+}
+
 template <class Error>
 LogRecord read_record(net::ByteReader<std::endian::little, Error>& r) {
   LogRecord record;
-  record.time = r.time();
-  record.node = r.node();
-  record.event = r.str();
-  const std::size_t nfields = r.count(kRecordFieldMinBytes);
-  record.fields.reserve(nfields);
-  for (std::size_t i = 0; i < nfields; ++i) {
-    auto key = r.str();
-    auto value = r.str();
-    record.fields.emplace_back(std::move(key), std::move(value));
-  }
+  read_record(r, record);
   return record;
 }
 

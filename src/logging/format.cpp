@@ -1,10 +1,15 @@
 #include "logging/format.hpp"
 
 #include <charconv>
+#include <limits>
 #include <stdexcept>
 
 namespace manet::logging {
 namespace {
+
+// Largest whole-second count whose microsecond total fits in an int64.
+constexpr std::int64_t kMaxSeconds =
+    std::numeric_limits<std::int64_t>::max() / 1'000'000 - 1;
 
 sim::Time parse_time(std::string_view v) {
   // "12.345678s"
@@ -25,7 +30,7 @@ sim::Time parse_time(std::string_view v) {
   if (r1.ec != std::errc{} || r2.ec != std::errc{} ||
       r1.ptr != sec_part.data() + sec_part.size() ||
       r2.ptr != micro_part.data() + micro_part.size() || secs < 0 ||
-      micros < 0)
+      micros < 0 || secs > kMaxSeconds)
     throw std::invalid_argument{"bad time: " + std::string{v}};
   return sim::Time::from_us(secs * 1'000'000 + micros);
 }
@@ -36,11 +41,13 @@ std::string format_record(const LogRecord& record) {
   std::string out = "t=" + record.time.to_string() +
                     " node=" + record.node.to_string() +
                     " event=" + record.event;
-  for (const auto& [k, v] : record.fields) {
+  for (const auto& f : record.fields) {
     out += ' ';
-    out += k;
+    out += f.key;
     out += '=';
-    out += v.empty() ? "-" : v;
+    const auto at = out.size();
+    f.render(out);
+    if (out.size() == at) out += '-';
   }
   return out;
 }
@@ -70,13 +77,13 @@ LogRecord parse_record(std::string_view line) {
       rec.time = parse_time(value);
       have_t = true;
     } else if (key == "node") {
-      rec.node = net::NodeId::parse(std::string{value});
+      rec.node = net::NodeId::parse(value);
       have_node = true;
     } else if (key == "event") {
       rec.event = std::string{value};
       have_event = true;
     } else {
-      rec.fields.emplace_back(std::string{key}, std::string{value});
+      rec.with(std::string{key}, value);
     }
   }
 

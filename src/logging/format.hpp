@@ -12,7 +12,9 @@ namespace manet::logging {
 std::string format_record(const LogRecord& record);
 
 /// Parses one line produced by format_record. Throws std::invalid_argument
-/// on malformed input (missing t/node/event, bad tokens).
+/// on malformed input (missing t/node/event, bad tokens, a node or
+/// node-list field whose value is not ids). A parsed record is a fixed
+/// point: parse_record(format_record(r)) == r.
 LogRecord parse_record(std::string_view line);
 
 /// Parses a whole log (newline-separated); blank lines are skipped.

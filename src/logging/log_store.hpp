@@ -2,7 +2,12 @@
 
 #include <deque>
 #include <functional>
+#include <map>
+#include <ranges>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "logging/record.hpp"
@@ -12,23 +17,43 @@ namespace manet::logging {
 class AuditWriter;
 
 /// Append-only audit log of one node's routing daemon, with bounded
-/// retention. The IDS reads it through `text_since` + the parser — i.e.
-/// through the same text round-trip a real log file would impose.
+/// retention. The IDS reads it in place: records_since for its scan batch,
+/// records_with_event and latest_hellos for its queries. Every view and
+/// pointer these return stays valid until the next append or restore.
 class LogStore {
  public:
-  explicit LogStore(std::size_t max_records = 100'000)
-      : max_records_{max_records} {}
+  /// Throws std::invalid_argument on capacity 0 (a store must retain the
+  /// record it just appended for the writer and observer to see it).
+  explicit LogStore(std::size_t max_records = 100'000);
+  // The indexes point into records_: a copy would point into the original.
+  LogStore(const LogStore&) = delete;
+  LogStore& operator=(const LogStore&) = delete;
 
   void append(LogRecord record);
 
   std::size_t size() const { return records_.size(); }
   const LogRecord& at(std::size_t i) const { return records_.at(i); }
 
-  /// Records with time >= since (they are appended in time order).
-  std::vector<LogRecord> records_since(sim::Time since) const;
+  /// Retained records with time >= since, oldest first (they are appended
+  /// in time order).
+  using Range = std::ranges::subrange<std::deque<LogRecord>::const_iterator>;
+  Range records_since(sim::Time since) const;
 
-  /// Records matching an event name, newest last.
-  std::vector<LogRecord> records_with_event(const std::string& event) const;
+  /// Retained records of one event kind, oldest first, from a per-event
+  /// position index that retention trims along with the log.
+  struct Deref {
+    const LogRecord& operator()(const LogRecord* r) const { return *r; }
+  };
+  using EventView =
+      std::ranges::transform_view<std::span<const LogRecord* const>, Deref>;
+  EventView records_with_event(std::string_view event) const;
+
+  /// The newest retained hello_recv of each sender (its `from` node),
+  /// sorted by sender.
+  using LatestHello = std::pair<net::NodeId, const LogRecord*>;
+  std::span<const LatestHello> latest_hellos() const { return latest_hello_; }
+  /// The newest retained hello_recv from `from`, or nullptr.
+  const LogRecord* latest_hello_from(net::NodeId from) const;
 
   /// The formatted text of all records with time >= since — what a log
   /// analyzer would read from disk.
@@ -61,15 +86,24 @@ class LogStore {
   /// (capacity stays whatever this store was constructed with).
   const std::deque<LogRecord>& records() const { return records_; }
   void restore(std::deque<LogRecord> records, std::uint64_t total_appended,
-               std::uint64_t dropped) {
-    records_ = std::move(records);
-    total_appended_ = total_appended;
-    dropped_ = dropped;
-  }
+               std::uint64_t dropped);
 
  private:
+  void index(const LogRecord& record);
+  void unindex(const LogRecord& record);
+
   std::size_t max_records_;
   std::deque<LogRecord> records_;
+  /// Retained records of one event name, oldest first: records[head..].
+  /// Deque elements never move on push_back/pop_front, so the pointers
+  /// stay valid until their record is retired; retired slots are dropped
+  /// once they are half the vector.
+  struct EventIndex {
+    std::vector<const LogRecord*> records;
+    std::size_t head = 0;
+  };
+  std::map<std::string, EventIndex, std::less<>> by_event_;
+  std::vector<LatestHello> latest_hello_;  ///< sorted by sender
   std::function<void(const LogRecord&)> observer_;
   AuditWriter* audit_writer_ = nullptr;
   std::uint64_t total_appended_ = 0;

@@ -125,9 +125,10 @@ template <std::endian E, class Error> class ByteReader {
     if (n > remaining() / min_bytes) throw Error{"corrupt element count"};
     return static_cast<std::size_t>(n);
   }
-  std::string str() {
+  /// Read in place: valid as long as the borrowed bytes.
+  std::string_view str() {
     const std::size_t n = count();
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+    std::string_view s{reinterpret_cast<const char*>(data_ + pos_), n};
     pos_ += n;
     return s;
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 namespace manet::net {
 
@@ -21,8 +22,9 @@ class NodeId {
   /// "n7" — compact form used in logs and test output.
   std::string to_string() const;
 
-  /// Parses the "n7" form; throws std::invalid_argument on malformed input.
-  static NodeId parse(const std::string& text);
+  /// Parses the "n7" form; throws std::invalid_argument on malformed input
+  /// and on the reserved address kInvalid (whose text form is "n?").
+  static NodeId parse(std::string_view text);
 
   static constexpr std::uint32_t kInvalid = 0xFFFFFFFFu;
 

@@ -46,6 +46,10 @@ const char* hot_name(Hot h) {
       return "manet_pipeline_suppressed_convictions_total";
     case Hot::kInvestigationsOpened:
       return "manet_investigations_opened_total";
+    case Hot::kIdsLogQueries:
+      return "manet_ids_log_queries_total";
+    case Hot::kIdsLogRecordsVisited:
+      return "manet_ids_log_records_visited_total";
     case Hot::kCheckpointSaves:
       return "manet_checkpoint_saves_total";
     case Hot::kCheckpointRestores:

@@ -46,6 +46,8 @@ enum class Hot : std::uint32_t {
   kPipelineConvictions,      ///< kIntruder verdicts emitted
   kPipelineSuppressed,       ///< convictions downgraded by the liveness gate
   kInvestigationsOpened,     ///< investigations launched by the detector
+  kIdsLogQueries,            ///< IDS audit-log queries and scan batches
+  kIdsLogRecordsVisited,     ///< records those queries and batches examined
   kCheckpointSaves,
   kCheckpointRestores,
   kFaultEvents,              ///< fault-plan events applied by the injector

@@ -71,11 +71,13 @@ void Agent::stop() {
   log_.append(make_record("daemon_stop"));
 }
 
-logging::LogRecord Agent::make_record(std::string event) const {
+logging::LogRecord Agent::make_record(std::string event,
+                                      std::size_t fields) const {
   logging::LogRecord r;
   r.time = sim_.now();
   r.node = id_;
   r.event = std::move(event);
+  r.fields.reserve(fields);
   return r;
 }
 
@@ -145,10 +147,10 @@ void Agent::emit_hello() {
   m.header.seq_num = next_msg_seq();
   m.body = h;
 
-  auto rec = make_record("hello_sent");
+  auto rec = make_record("hello_sent", 4);
   rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("neigh", logging::join_node_list(h.symmetric_neighbors()))
-      .with("asym", logging::join_node_list(asym_scratch_))
+      .with("neigh", h.symmetric_neighbors())
+      .with("asym", asym_scratch_)
       .with("will", static_cast<std::int64_t>(h.willingness));
   log_.append(std::move(rec));
 
@@ -173,10 +175,10 @@ void Agent::emit_tc() {
   m.header.seq_num = next_msg_seq();
   m.body = tc;
 
-  auto rec = make_record("tc_sent");
+  auto rec = make_record("tc_sent", 3);
   rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
       .with("ansn", static_cast<std::int64_t>(tc.ansn))
-      .with("adv", logging::join_node_list(tc.advertised));
+      .with("adv", tc.advertised);
   log_.append(std::move(rec));
 
   ++stats_.tc_sent;
@@ -198,9 +200,9 @@ void Agent::emit_mid() {
   m.header.seq_num = next_msg_seq();
   m.body = mid;
 
-  auto rec = make_record("mid_sent");
+  auto rec = make_record("mid_sent", 2);
   rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("ifaces", logging::join_node_list(mid.interfaces));
+      .with("ifaces", mid.interfaces);
   log_.append(std::move(rec));
 
   duplicates_.record(sim_.now(), id_, m.header.seq_num, true,
@@ -221,7 +223,7 @@ void Agent::emit_hna() {
   m.header.seq_num = next_msg_seq();
   m.body = hna;
 
-  auto rec = make_record("hna_sent");
+  auto rec = make_record("hna_sent", 2);
   rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
       .with("count", static_cast<std::int64_t>(hna.entries.size()));
   log_.append(std::move(rec));
@@ -257,7 +259,7 @@ void Agent::handle_packet(const net::Packet& packet) {
     parsed = parse_packet(packet.payload());
   } catch (const WireError&) {
     ++stats_.parse_errors;
-    auto rec = make_record("packet_parse_error");
+    auto rec = make_record("packet_parse_error", 1);
     rec.with("from", packet.transmitter);
     log_.append(std::move(rec));
     return;
@@ -269,7 +271,7 @@ void Agent::handle_packet(const net::Packet& packet) {
       // A retransmission of our own message: evidence that the transmitter
       // actually forwards our traffic (used by E2 drop detection).
       if (m.header.hop_count > 0) {
-        auto rec = make_record("own_fwd_heard");
+        auto rec = make_record("own_fwd_heard", 3);
         rec.with("by", packet.transmitter)
             .with("seq", static_cast<std::int64_t>(m.header.seq_num))
             .with("type",
@@ -337,21 +339,21 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
       advertised_asym.insert(advertised_asym.end(), addrs.begin(),
                              addrs.end());
   }
-  auto rec = make_record("hello_recv");
+  auto rec = make_record("hello_recv", 6);
   rec.with("from", from)
       .with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("sym", logging::join_node_list(advertised_sym))
-      .with("asym", logging::join_node_list(advertised_asym))
+      .with("sym", advertised_sym)
+      .with("asym", std::move(advertised_asym))
       .with("lists_us", lists_us ? "1" : "0")
       .with("will", static_cast<std::int64_t>(hello->willingness));
   log_.append(std::move(rec));
 
   if (change == LinkSet::Change::kBecameSym) {
-    auto r = make_record("link_sym");
+    auto r = make_record("link_sym", 1);
     r.with("nbr", from);
     log_.append(std::move(r));
   } else if (change == LinkSet::Change::kLost) {
-    auto r = make_record("link_lost");
+    auto r = make_record("link_lost", 1);
     r.with("nbr", from);
     log_.append(std::move(r));
   }
@@ -365,10 +367,9 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
     if (neighbors_.set_two_hops_via(from, two_hops,
                                     sim_.now() + m.header.vtime)) {
       tables_changed = true;
-      auto r = make_record("two_hop_update");
+      auto r = make_record("two_hop_update", 2);
       r.with("via", from)
-          .with("nodes",
-                logging::join_node_list(neighbors_.two_hops_via(from)));
+          .with("nodes", neighbors_.two_hops_via(from));
       log_.append(std::move(r));
     }
   }
@@ -380,14 +381,14 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
     mpr_selectors_[from] = sim_.now() + m.header.vtime;
     if (!was_selector) {
       ++ansn_;
-      auto r = make_record("mpr_selector_add");
+      auto r = make_record("mpr_selector_add", 1);
       r.with("nbr", from);
       log_.append(std::move(r));
     }
   } else if (was_selector && lists_us && !selects_us_mpr) {
     mpr_selectors_.erase(from);
     ++ansn_;
-    auto r = make_record("mpr_selector_del");
+    auto r = make_record("mpr_selector_del", 1);
     r.with("nbr", from);
     log_.append(std::move(r));
   }
@@ -412,7 +413,7 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   // check — re-hearings of an already-seen flood are exactly the MPR
   // re-broadcasts the audit credits, and they produce no tc_recv record.
   if (config_.log_fwd_echo && transmitter != m.header.originator) {
-    auto echo = make_record("fwd_echo");
+    auto echo = make_record("fwd_echo", 3);
     echo.with("by", transmitter)
         .with("orig", m.header.originator)
         .with("seq", static_cast<std::int64_t>(m.header.seq_num));
@@ -427,12 +428,12 @@ void Agent::process_tc(const Message& m, NodeId transmitter) {
   const NodeId origin = mid_set_.main_address_of(m.header.originator);
   const auto tc_result = topology_.on_tc(sim_.now(), origin, tc->ansn,
                                          tc->advertised, m.header.vtime);
-  auto rec = make_record("tc_recv");
+  auto rec = make_record("tc_recv", 6);
   rec.with("orig", origin)
       .with("via", transmitter)
       .with("seq", static_cast<std::int64_t>(m.header.seq_num))
       .with("ansn", static_cast<std::int64_t>(tc->ansn))
-      .with("adv", logging::join_node_list(tc->advertised))
+      .with("adv", tc->advertised)
       .with("applied", tc_result.applied ? "1" : "0");
   log_.append(std::move(rec));
 
@@ -450,9 +451,9 @@ void Agent::process_mid(const Message& m, NodeId transmitter) {
   if (!duplicates_.seen(m.header.originator, m.header.seq_num)) {
     mid_set_.on_mid(sim_.now(), m.header.originator, mid->interfaces,
                     m.header.vtime);
-    auto rec = make_record("mid_recv");
+    auto rec = make_record("mid_recv", 2);
     rec.with("orig", m.header.originator)
-        .with("ifaces", logging::join_node_list(mid->interfaces));
+        .with("ifaces", mid->interfaces);
     log_.append(std::move(rec));
   }
   maybe_forward(m, transmitter);
@@ -465,7 +466,7 @@ void Agent::process_hna(const Message& m, NodeId transmitter) {
   if (!duplicates_.seen(m.header.originator, m.header.seq_num)) {
     hna_set_.on_hna(sim_.now(), m.header.originator, hna->entries,
                     m.header.vtime);
-    auto rec = make_record("hna_recv");
+    auto rec = make_record("hna_recv", 2);
     rec.with("orig", m.header.originator)
         .with("count", static_cast<std::int64_t>(hna->entries.size()));
     log_.append(std::move(rec));
@@ -503,7 +504,7 @@ void Agent::maybe_forward(const Message& m, NodeId transmitter) {
   }
 
   ++stats_.msgs_forwarded;
-  auto rec = make_record("msg_fwd");
+  auto rec = make_record("msg_fwd", 3);
   rec.with("type", static_cast<std::int64_t>(static_cast<int>(m.header.type)))
       .with("orig", m.header.originator)
       .with("seq", static_cast<std::int64_t>(m.header.seq_num));
@@ -624,7 +625,7 @@ Agent::SendStatus Agent::send_data(NodeId dest, std::uint16_t protocol,
                                    std::span<const NodeId> avoid) {
   auto path = RoutingTable::shortest_path(knowledge_graph(), id_, dest, avoid);
   if (!path) {
-    auto rec = make_record("data_no_route");
+    auto rec = make_record("data_no_route", 1);
     rec.with("dest", dest);
     log_.append(std::move(rec));
     return SendStatus::kNoRoute;
@@ -651,10 +652,10 @@ void Agent::send_data_via(std::vector<NodeId> route, std::uint16_t protocol,
   m.header.ttl = kDefaultTtl;
   m.header.seq_num = next_msg_seq();
 
-  auto rec = make_record("data_sent");
+  auto rec = make_record("data_sent", 3);
   rec.with("dest", d.destination)
       .with("proto", static_cast<std::int64_t>(protocol))
-      .with("route", logging::join_node_list(route));
+      .with("route", std::move(route));
   log_.append(std::move(rec));
 
   m.body = std::move(d);
@@ -671,7 +672,7 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 
   if (data->destination == id_) {
     ++stats_.data_delivered;
-    auto rec = make_record("data_recv");
+    auto rec = make_record("data_recv", 3);
     rec.with("src", data->source)
         .with("proto", static_cast<std::int64_t>(data->protocol))
         .with("via", transmitter);
@@ -682,7 +683,7 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
 
   if (data->route.empty() || m.header.ttl <= 1) {
     ++stats_.data_dropped;
-    auto rec = make_record("data_drop");
+    auto rec = make_record("data_drop", 2);
     rec.with("src", data->source).with("reason", "route_exhausted");
     log_.append(std::move(rec));
     return;
@@ -703,7 +704,7 @@ void Agent::process_data(const Message& m, NodeId transmitter) {
   copy.header.hop_count = static_cast<std::uint8_t>(copy.header.hop_count + 1);
 
   ++stats_.data_relayed;
-  auto rec = make_record("data_fwd");
+  auto rec = make_record("data_fwd", 3);
   rec.with("src", d.source).with("dest", d.destination).with("next", next);
   log_.append(std::move(rec));
 
@@ -724,7 +725,7 @@ void Agent::housekeep() {
   }
   for (auto n : lost) {
     neighbors_.remove_neighbor(n);
-    auto rec = make_record("link_lost");
+    auto rec = make_record("link_lost", 1);
     rec.with("nbr", n);
     log_.append(std::move(rec));
   }
@@ -738,7 +739,7 @@ void Agent::housekeep() {
   hna_set_.expire(now);
   for (auto it = mpr_selectors_.begin(); it != mpr_selectors_.end();) {
     if (it->second <= now) {
-      auto rec = make_record("mpr_selector_del");
+      auto rec = make_record("mpr_selector_del", 1);
       rec.with("nbr", it->first);
       log_.append(std::move(rec));
       it = mpr_selectors_.erase(it);
@@ -786,10 +787,10 @@ void Agent::recompute_mprs() {
 
   mprs_ = fresh_mprs_;
   obs::hit(obs::Hot::kMprRecomputes);
-  auto rec = make_record("mpr_changed");
-  rec.with("mprs", logging::join_node_list(mprs_))
-      .with("added", logging::join_node_list(added))
-      .with("removed", logging::join_node_list(removed));
+  auto rec = make_record("mpr_changed", 3);
+  rec.with("mprs", mprs_)
+      .with("added", std::move(added))
+      .with("removed", std::move(removed));
   log_.append(std::move(rec));
 }
 
@@ -798,9 +799,9 @@ void Agent::recompute_routes() {
   if (added.empty() && removed.empty()) return;
   obs::hit(obs::Hot::kRouteRecomputes);
   obs::instant(obs::SpanName::kRoutingRecompute, sim_.now(), id_.value());
-  auto rec = make_record("routes_changed");
-  rec.with("added", logging::join_node_list(added))
-      .with("removed", logging::join_node_list(removed))
+  auto rec = make_record("routes_changed", 3);
+  rec.with("added", added)
+      .with("removed", removed)
       .with("size", static_cast<std::int64_t>(routing_.size()));
   log_.append(std::move(rec));
 }

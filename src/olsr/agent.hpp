@@ -266,7 +266,9 @@ class Agent {
   std::uint16_t next_msg_seq() { return msg_seq_++; }
   std::uint16_t next_pkt_seq() { return pkt_seq_++; }
 
-  logging::LogRecord make_record(std::string event) const;
+  /// A record of `event` stamped now, with room for `fields` fields.
+  logging::LogRecord make_record(std::string event,
+                                 std::size_t fields = 0) const;
 
   sim::Engine& sim_;
   net::Medium& medium_;

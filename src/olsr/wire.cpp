@@ -85,6 +85,14 @@ std::size_t body_wire_size(const MessageBody& body) {
       body);
 }
 
+/// A node address; the reserved kInvalid is no node and would reach the
+/// audit log as the unparseable "n?".
+NodeId read_node(ByteReader& r) {
+  const auto id = r.node();
+  if (!id.valid()) throw WireError{"reserved node address"};
+  return id;
+}
+
 HelloMessage read_hello(ByteReader& r, std::size_t body_end) {
   HelloMessage h;
   r.u16();  // reserved
@@ -97,7 +105,7 @@ HelloMessage read_hello(ByteReader& r, std::size_t body_end) {
     if (size < 4 || (size - 4) % 4 != 0) throw WireError{"bad link group size"};
     const std::size_t count = (size - 4) / 4;
     auto& group = h.link_groups[code];
-    for (std::size_t i = 0; i < count; ++i) group.push_back(r.node());
+    for (std::size_t i = 0; i < count; ++i) group.push_back(read_node(r));
   }
   if (r.pos() != body_end) throw WireError{"hello body overrun"};
   return h;
@@ -107,14 +115,14 @@ TcMessage read_tc(ByteReader& r, std::size_t body_end) {
   TcMessage t;
   t.ansn = r.u16();
   r.u16();  // reserved
-  while (r.pos() + 4 <= body_end) t.advertised.push_back(r.node());
+  while (r.pos() + 4 <= body_end) t.advertised.push_back(read_node(r));
   if (r.pos() != body_end) throw WireError{"tc body overrun"};
   return t;
 }
 
 MidMessage read_mid(ByteReader& r, std::size_t body_end) {
   MidMessage m;
-  while (r.pos() + 4 <= body_end) m.interfaces.push_back(r.node());
+  while (r.pos() + 4 <= body_end) m.interfaces.push_back(read_node(r));
   if (r.pos() != body_end) throw WireError{"mid body overrun"};
   return m;
 }
@@ -134,13 +142,13 @@ HnaMessage read_hna(ByteReader& r, std::size_t body_end) {
 
 DataMessage read_data(ByteReader& r, std::size_t body_end) {
   DataMessage d;
-  d.source = r.node();
-  d.destination = r.node();
+  d.source = read_node(r);
+  d.destination = read_node(r);
   const auto route_len = r.u8();
   const auto trace_len = r.u8();
   d.protocol = r.u16();
-  for (std::size_t i = 0; i < route_len; ++i) d.route.push_back(r.node());
-  for (std::size_t i = 0; i < trace_len; ++i) d.trace.push_back(r.node());
+  for (std::size_t i = 0; i < route_len; ++i) d.route.push_back(read_node(r));
+  for (std::size_t i = 0; i < trace_len; ++i) d.trace.push_back(read_node(r));
   const auto payload_len = r.u16();
   d.payload.reserve(payload_len);
   r.bytes(d.payload, payload_len);
@@ -215,7 +223,7 @@ OlsrPacket parse_packet(const net::Bytes& bytes) {
     m.header.vtime = decode_vtime(r.u8());
     const auto msg_size = r.u16();
     if (msg_size < 12) throw WireError{"message size too small"};
-    m.header.originator = r.node();
+    m.header.originator = read_node(r);
     m.header.ttl = r.u8();
     m.header.hop_count = r.u8();
     m.header.seq_num = r.u16();

@@ -35,7 +35,7 @@ TEST(Record, FieldAccessors) {
 
 TEST(Record, MissingFieldThrows) {
   const auto r = sample_record();
-  EXPECT_THROW(r.field_or_throw("nope"), std::invalid_argument);
+  EXPECT_THROW(r.node_list_field("nope"), std::invalid_argument);
   EXPECT_THROW(r.node_field("nope"), std::invalid_argument);
   EXPECT_THROW(r.int_field("from"), std::invalid_argument);
 }
@@ -44,9 +44,13 @@ TEST(Record, JoinAndSplitNodeList) {
   EXPECT_EQ(join_node_list({}), "");
   EXPECT_EQ(join_node_list({NodeId{7}}), "n7");
   EXPECT_EQ(join_node_list({NodeId{1}, NodeId{2}}), "n1|n2");
-  EXPECT_EQ(split_list(""), (std::vector<std::string>{}));
-  EXPECT_EQ(split_list("a|b|c"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(split_list("solo"), (std::vector<std::string>{"solo"}));
+  // The split is the typed parse of a node-list value.
+  EXPECT_TRUE(LogRecord{}.with("sym", "").node_list_field("sym").empty());
+  EXPECT_EQ(LogRecord{}.with("sym", "n1|n2|n3").node_list_field("sym"),
+            (std::vector<NodeId>{NodeId{1}, NodeId{2}, NodeId{3}}));
+  EXPECT_EQ(LogRecord{}.with("sym", "n7").node_list_field("sym"),
+            (std::vector<NodeId>{NodeId{7}}));
+  EXPECT_THROW(LogRecord{}.with("sym", "n1||n2"), std::invalid_argument);
 }
 
 TEST(Format, FormatsCanonicalLine) {
@@ -157,6 +161,23 @@ TEST(LogStore, BoundedRetentionDropsOldest) {
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.dropped(), 7u);
   EXPECT_EQ(store.at(0).event, "e7");
+}
+
+TEST(LogStore, ZeroCapacityRejected) {
+  // A store must keep the record it just appended: the audit writer and
+  // the observer read it back after retention has run.
+  EXPECT_THROW(LogStore{0}, std::invalid_argument);
+  LogStore one{1};
+  int seen = 0;
+  one.set_observer([&](const LogRecord& r) {
+    EXPECT_EQ(r.event, "hello_recv");
+    ++seen;
+  });
+  one.append(sample_record());
+  one.append(sample_record());
+  EXPECT_EQ(seen, 2);
+  EXPECT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.dropped(), 1u);
 }
 
 TEST(LogStore, TextSinceIsParseable) {

@@ -386,6 +386,33 @@ TEST(GoldenGuard, GraphWorkCountersIdenticalAcrossRunnerThreads) {
   }
 }
 
+TEST(GoldenGuard, IdsLogWorkCountersIdenticalAcrossRunnerThreads) {
+  // The IDS's log queries and the records they examine are a function of
+  // each replication's own log: the same for any Runner thread count and
+  // (sharded) any worker count. The grayhole spec adds the scan batches.
+  for (const auto engine :
+       {sim::EngineKind::kSequential, sim::EngineKind::kSharded}) {
+    for (const auto attack : {scenario::TrustExperiment::AttackKind::kSpoof,
+                              scenario::TrustExperiment::AttackKind::kGrayhole}) {
+      auto spec = guard_spec(true, engine);
+      spec.attack = attack;
+      const auto run = [&spec](unsigned threads) {
+        runtime::Runner::Config rc;
+        rc.threads = threads;
+        runtime::Runner runner{rc};
+        const auto results = runner.run(spec);
+        return std::pair{hot_total(results, obs::Hot::kIdsLogQueries),
+                         hot_total(results, obs::Hot::kIdsLogRecordsVisited)};
+      };
+      const auto one = run(1);
+      EXPECT_GT(one.first, 0u);
+      EXPECT_GT(one.second, 0u);
+      EXPECT_EQ(run(4), one) << "engine " << static_cast<int>(engine)
+                             << " attack " << static_cast<int>(attack);
+    }
+  }
+}
+
 // --- profiling overlay (--trace-wallclock) -----------------------------------
 
 std::vector<runtime::ReplicationResult> traced_run(bool wallclock) {

@@ -214,6 +214,28 @@ TEST(Wire, UnknownMessageTypeThrows) {
   EXPECT_THROW(parse_packet(bytes), WireError);
 }
 
+TEST(Wire, ReservedAddressThrows) {
+  // NodeId::kInvalid (0xFFFFFFFF) is no node: wherever it appears — a
+  // HELLO link group, a TC advertisement, a message originator — the
+  // packet is rejected, so a receiver logs packet_parse_error instead of
+  // an audit record naming "n?".
+  const NodeId reserved{NodeId::kInvalid};
+  auto hello = make_hello_message();
+  std::get<HelloMessage>(hello.body)
+      .add(LinkType::kSym, NeighborType::kSymNeigh, reserved);
+  Message tc;
+  tc.header.type = MessageType::kTc;
+  tc.header.originator = NodeId{2};
+  tc.body = TcMessage{1, {NodeId{5}, reserved}};
+  auto from_reserved = make_hello_message();
+  from_reserved.header.originator = reserved;
+  for (const auto& m : {hello, tc, from_reserved}) {
+    OlsrPacket p;
+    p.messages.push_back(m);
+    EXPECT_THROW(parse_packet(serialize_packet(p)), WireError);
+  }
+}
+
 TEST(Wire, EmptyPacketRoundTrips) {
   OlsrPacket p;
   p.seq_num = 7;

@@ -142,6 +142,17 @@ std::vector<std::uint8_t> valid_input(Format format) {
   return {};
 }
 
+/// A decoded kLine record is a fixed point of the v2 record codec:
+/// write_record then read_record gives it back.
+void expect_fixed_point(const logging::LogRecord& record) {
+  net::ByteWriter<std::endian::little> w;
+  logging::write_record(w, record);
+  const auto bytes = w.take();
+  net::ByteReader<std::endian::little, logging::AuditError> r{bytes};
+  EXPECT_EQ(logging::read_record(r), record);
+  EXPECT_TRUE(r.at_end());
+}
+
 /// True if `bytes` decode, false if the decoder rejects them with the
 /// format's own error type; any other exception propagates.
 bool decodes(Format format, const std::vector<std::uint8_t>& bytes) {
@@ -150,8 +161,9 @@ bool decodes(Format format, const std::vector<std::uint8_t>& bytes) {
       try {
         core::AuditStreamReader stream{bytes};
         core::AuditEvent event;
-        while (stream.next(event)) {
-        }
+        while (stream.next(event))
+          if (event.kind == logging::AuditFrame::kLine)
+            expect_fixed_point(event.line);
         return true;
       } catch (const logging::AuditError&) {
         return false;
@@ -241,6 +253,170 @@ TEST(LogFuzz, RandomTextNeverCrashesParser) {
     } catch (const std::invalid_argument&) {
     }
   }
+}
+
+/// Audit lines of a real 16-node run: every record the investigator and
+/// a bystander retained after setup and one spoofing round.
+const std::vector<std::string>& real_log_lines() {
+  static const auto lines = [] {
+    scenario::TrustExperiment::Config c;
+    c.seed = 5;
+    c.num_nodes = 16;
+    c.num_liars = 4;
+    scenario::TrustExperiment exp{c};
+    exp.setup();
+    exp.run_round();
+    std::vector<std::string> out;
+    for (const std::size_t node : {0, 2})
+      for (const auto& r : exp.network().agent(node).log().records())
+        out.push_back(logging::format_record(r));
+    return out;
+  }();
+  return lines;
+}
+
+/// One token-level mutation of a log line: the damage a hand-edited or
+/// truncated log file carries, aimed at the typed node and list fields.
+std::string mutate_tokens(const std::string& line, sim::Rng& rng) {
+  std::vector<std::string> tokens;
+  for (std::size_t pos = 0; pos <= line.size();) {
+    const auto end = std::min(line.find(' ', pos), line.size());
+    tokens.push_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  // Field tokens follow "t=… node=… event=…"; a header token is hit when
+  // the record has no fields.
+  auto& token = tokens[tokens.size() > 3 ? 3 + pick(tokens.size() - 3)
+                                         : pick(tokens.size())];
+  const auto eq = token.find('=');
+  const auto key = token.substr(0, eq);
+  auto& value = token;
+  const auto set_value = [&](const std::string& v) { value = key + "=" + v; };
+  static const char* const kBadIds[] = {
+      "n?",  "n4294967295", "n4294967296", "n99999999999", "nx", "n1a",
+      "7",   "n",           "n-1",         "n+1",          "N3", "n007"};
+  switch (rng.uniform_int(0, 9)) {
+    case 0:  // missing '='
+      if (eq != std::string::npos) token.erase(eq, 1);
+      break;
+    case 1:
+      set_value("-");
+      break;
+    case 2:
+      set_value("");
+      break;
+    case 3:  // a bad id alone
+      set_value(kBadIds[pick(std::size(kBadIds))]);
+      break;
+    case 4: {  // a bad id inside a list
+      const auto ids = token.substr(eq == std::string::npos ? 0 : eq + 1);
+      set_value(ids + "|" + kBadIds[pick(std::size(kBadIds))] + "|n2");
+      break;
+    }
+    case 5: {  // a stray '|'
+      const auto at = eq == std::string::npos
+                          ? token.size()
+                          : eq + 1 + pick(token.size() - eq);
+      token.insert(at, "|");
+      break;
+    }
+    case 6:  // duplicate key
+      tokens.push_back(token);
+      break;
+    case 7:  // the same key again with another value
+      tokens.push_back(key + "=n" + std::to_string(pick(40)));
+      break;
+    case 8:  // an unknown key, list-shaped or not
+      tokens.push_back(rng.bernoulli(0.5) ? "bogus=n1|n2" : "bogus=x|y");
+      break;
+    default:  // two mutations at once
+      return mutate_tokens(mutate_tokens(line, rng), rng);
+  }
+  std::string out;
+  for (const auto& t : tokens) {
+    if (!out.empty()) out += ' ';
+    out += t;
+  }
+  return out;
+}
+
+TEST(LogFuzz, TokenMutationsParseToFixedPointsOrThrow) {
+  // Every mutant of a real line parses or throws std::invalid_argument;
+  // a parsed record is a fixed point of format_record -> parse_record.
+  const auto& lines = real_log_lines();
+  ASSERT_GT(lines.size(), 100u);
+  sim::Rng rng{2026};
+  std::size_t parsed = 0, rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto mutant = mutate_tokens(
+        lines[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(lines.size()) - 1))],
+        rng);
+    SCOPED_TRACE(mutant);
+    try {
+      const auto record = logging::parse_record(mutant);
+      EXPECT_EQ(logging::parse_record(logging::format_record(record)), record);
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+TEST(LogFuzz, TokenMutatedV2LinesDecodeToFixedPointsOrThrow) {
+  // The same mutants as v2 kLine payloads: the field strings go to the
+  // wire as they are, and read_record either types them or throws
+  // AuditError. A decoded record is a fixed point of both codecs.
+  const auto& lines = real_log_lines();
+  sim::Rng rng{2027};
+  std::size_t decoded = 0, rejected = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto& line = lines[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(lines.size()) - 1))];
+    const auto header = logging::parse_record(line);
+    const auto mutant = mutate_tokens(line, rng);
+    SCOPED_TRACE(mutant);
+    net::ByteWriter<std::endian::little> w;
+    w.time(header.time);
+    w.node(header.node);
+    w.str(header.event);
+    std::vector<std::pair<std::string, std::string>> fields;
+    std::size_t pos = 0;
+    for (int skip = 0; skip < 3 && pos != std::string::npos; ++skip) {
+      pos = mutant.find(' ', pos);
+      if (pos != std::string::npos) ++pos;
+    }
+    while (pos != std::string::npos && pos < mutant.size()) {
+      const auto end = mutant.find(' ', pos);
+      const auto token = mutant.substr(pos, end - pos);
+      const auto eq = token.find('=');
+      fields.emplace_back(token.substr(0, eq),
+                          eq == std::string::npos ? "" : token.substr(eq + 1));
+      pos = end == std::string::npos ? end : end + 1;
+    }
+    w.count(fields.size());
+    for (const auto& [k, v] : fields) {
+      w.str(k);
+      w.str(v);
+    }
+    const auto bytes = w.take();
+    net::ByteReader<std::endian::little, logging::AuditError> r{bytes};
+    try {
+      const auto record = logging::read_record(r);
+      expect_fixed_point(record);
+      ++decoded;
+    } catch (const logging::AuditError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(InvestigationFuzz, GarbagePayloadsIgnored) {
@@ -378,6 +554,43 @@ TEST(FailureInjection, LogCapacityPressureKeepsDetectorSane) {
   detector.start();
   EXPECT_NO_THROW(net.run_for(sim::Duration::from_seconds(60.0)));
   EXPECT_GT(net.agent(0).log().dropped(), 0u);
+}
+
+TEST(FailureInjection, ReservedAddressSpoofIsRejectedOnTheWire) {
+  // The attacker advertises the reserved address NodeId::kInvalid as a
+  // neighbor. Its HELLOs must fail to decode (packet_parse_error) rather
+  // than reach the audit log as "n?", which no log reader can parse back.
+  Network::Config c;
+  c.seed = 3;
+  c.radio.range_m = 160.0;
+  c.positions = net::grid_layout(9, 100.0);
+  c.agent.log_capacity = 200;
+  Network net{c};
+  net.set_hooks(4, std::make_unique<attacks::LinkSpoofingAttack>(
+                       attacks::LinkSpoofingAttack::Mode::kAddNonExistent,
+                       std::set<net::NodeId>{net::NodeId{net::NodeId::kInvalid}}));
+  auto& detector = net.add_detector(0);
+  net.start_all();
+  net.run_for(sim::Duration::from_seconds(20.0));
+  detector.start();
+  EXPECT_NO_THROW(net.run_for(sim::Duration::from_seconds(60.0)));
+
+  // Every receiver's log renders to text that parses back to itself (the
+  // attacker's own log still records the forged HELLO it sent).
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < net.size(); ++i) {
+    if (i == 4) continue;
+    const auto& log = net.agent(i).log();
+    for (const auto& rec : log.records_with_event("packet_parse_error"))
+      if (rec.node_field("from") == Network::id_of(4)) ++rejected;
+    const auto text = log.text_since(sim::Time{});
+    std::vector<logging::LogRecord> parsed;
+    ASSERT_NO_THROW(parsed = logging::parse_log(text)) << "node " << i;
+    ASSERT_EQ(parsed.size(), log.size());
+    for (std::size_t k = 0; k < parsed.size(); ++k)
+      EXPECT_EQ(parsed[k], log.at(k));
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(FailureInjection, CollusionBoundaryAtHalfTheVerifiers) {
