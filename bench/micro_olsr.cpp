@@ -184,7 +184,8 @@ const std::vector<std::pair<NodeId, NodeId>>& converged_arcs(std::size_t n) {
 // path check: clear, refill from the tables, query. Arg 1 = 0 refills the
 // same list every time (the memo hit: an O(E) compare keeps the CSR);
 // = 1 alternates the list with a copy whose first two arcs are swapped,
-// so every read is a rebuild (packed-key sort + CSR fill) of the same set.
+// so every read is a rebuild (packed-key radix sort + CSR fill) of the
+// same set.
 // BM_RoutingRecompute* build their graphs outside the timed loop and never
 // see this cost.
 static void BM_KnowledgeGraphBuild(benchmark::State& state) {

@@ -30,6 +30,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_graph_builds_total";
     case Hot::kGraphReuses:
       return "manet_olsr_graph_reuses_total";
+    case Hot::kGraphArcsSorted:
+      return "manet_olsr_graph_arcs_sorted_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

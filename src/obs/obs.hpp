@@ -38,6 +38,7 @@ enum class Hot : std::uint32_t {
   kMprRecomputes,            ///< olsr::Agent MPR-set recomputes that changed
   kGraphBuilds,              ///< olsr::KnowledgeGraph CSR rebuilds (memo miss)
   kGraphReuses,              ///< olsr::KnowledgeGraph builds kept (memo hit)
+  kGraphArcsSorted,          ///< raw arc keys those rebuilds radix-sorted
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

@@ -1,12 +1,39 @@
 #include "olsr/routing_table.hpp"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "obs/obs.hpp"
 
 namespace manet::olsr {
 
 // ------------------------------------------------------------ KnowledgeGraph
+
+namespace {
+
+/// LSD radix sort of `keys` ascending: one stable counting pass per byte in
+/// which the keys differ (a byte equal in every key cannot reorder them),
+/// so packed keys of ids below 256 take two passes. `scratch` is the other
+/// half of the ping-pong; the sorted keys end in `keys` either way.
+void radix_sort(std::vector<std::uint64_t>& keys,
+                std::vector<std::uint64_t>& scratch) {
+  if (keys.size() < 2) return;
+  std::uint64_t varying = 0;
+  for (const auto key : keys) varying |= key ^ keys.front();
+  scratch.resize(keys.size());
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if ((varying >> shift & 0xFF) == 0) continue;
+    std::array<std::uint32_t, 256> start{};
+    for (const auto key : keys) ++start[key >> shift & 0xFF];
+    std::uint32_t sum = 0;
+    for (auto& s : start) sum += std::exchange(s, sum);
+    for (const auto key : keys) scratch[start[key >> shift & 0xFF]++] = key;
+    keys.swap(scratch);
+  }
+}
+
+}  // namespace
 
 void KnowledgeGraph::rebuild() const {
   built_ = true;
@@ -15,9 +42,10 @@ void KnowledgeGraph::rebuild() const {
     return;
   }
   obs::hit(obs::Hot::kGraphBuilds);
+  obs::hit(obs::Hot::kGraphArcsSorted, arcs_.size());
   built_from_.assign(arcs_.begin(), arcs_.end());
   // A packed key (from << 32 | to) sorts in (from, to) order.
-  std::sort(arcs_.begin(), arcs_.end());
+  radix_sort(arcs_, sort_scratch_);
   arcs_.erase(std::unique(arcs_.begin(), arcs_.end()), arcs_.end());
 
   nodes_.clear();
@@ -30,10 +58,14 @@ void KnowledgeGraph::rebuild() const {
   }
   if (fill_csr()) return;
   // Some target is never a source: the node list is the union of both.
-  for (const auto key : arcs_)
-    nodes_.emplace_back(static_cast<std::uint32_t>(key));
-  std::sort(nodes_.begin(), nodes_.end());
-  nodes_.erase(std::unique(nodes_.begin(), nodes_.end()), nodes_.end());
+  std::vector<std::uint64_t> ids;
+  ids.reserve(nodes_.size() + arcs_.size());
+  for (const auto id : nodes_) ids.push_back(id.value());
+  for (const auto key : arcs_) ids.push_back(static_cast<std::uint32_t>(key));
+  radix_sort(ids, sort_scratch_);
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  nodes_.clear();
+  for (const auto id : ids) nodes_.emplace_back(static_cast<std::uint32_t>(id));
   fill_csr();
 }
 

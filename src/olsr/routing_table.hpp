@@ -29,10 +29,13 @@ using net::NodeId;
 /// (an O(E) compare) keeps the CSR as is. clear() discards only the raw
 /// list being gathered, never the CSR, so an owner that clears and refills
 /// the same graph on every read pays the sort only when the arcs moved.
-/// A rebuild sorts packed (from << 32 | to) keys — the (from, to) order —
-/// and takes the node list from the sorted sources in one pass; only a
-/// graph with a target that is never a source (a direct add_arc; add_edge
-/// graphs are symmetric) falls back to the union of both endpoint sets.
+/// A rebuild LSD-radix-sorts the packed (from << 32 | to) keys into
+/// (from, to) order — one stable counting pass per byte that differs
+/// between the keys, so ids below 256 take two O(E) passes — and takes the
+/// node list from the sorted sources in one pass; only a graph with a
+/// target that is never a source (a direct add_arc; add_edge graphs are
+/// symmetric) falls back to the union of both endpoint sets, radix-sorted
+/// the same way. The sort's ping-pong buffer belongs to the graph.
 /// Not thread-safe: the lazy build mutates cached state (one graph belongs
 /// to one replication).
 class KnowledgeGraph {
@@ -98,10 +101,13 @@ class KnowledgeGraph {
   /// false when some target is missing from nodes_.
   bool fill_csr() const;
 
-  // Packed (from << 32 | to) keys in gather order; build() sorts and
-  // dedups them in place.
+  // Packed (from << 32 | to) keys in gather order; build() radix-sorts
+  // and dedups them.
   mutable std::vector<std::uint64_t> arcs_;
   mutable std::vector<std::uint64_t> built_from_;  // raw list of the CSR
+  // Radix-sort ping-pong buffer; per graph, so graphs built on different
+  // threads share nothing.
+  mutable std::vector<std::uint64_t> sort_scratch_;
   mutable std::vector<NodeId> nodes_;           // sorted unique endpoints
   mutable std::vector<std::uint32_t> offsets_;  // node_count() + 1
   mutable std::vector<std::uint32_t> targets_;  // indices into nodes_

@@ -1,19 +1,23 @@
 // Equivalence suite for the memoized, packed-key KnowledgeGraph build.
 //
 // The graph keeps the raw arc list its CSR was built from and keeps the CSR
-// when the next gathered list is equal; a rebuild sorts packed
-// (from << 32 | to) keys and takes the node list from the sources. The
-// oracle below is the pair-sorting build the graph used before: every CSR
-// the memoized graph hands out must equal the oracle's over the same arcs —
-// in unit cases, and in full replications where a checker reads every
-// agent's graph at a fixed sim-time cadence and rebuilds the oracle from
-// the agent's own tables (link set, 2-hop set, topology set).
+// when the next gathered list is equal; a rebuild LSD-radix-sorts packed
+// (from << 32 | to) keys, one counting pass per byte that differs between
+// the keys, and takes the node list from the sources. Replication ids are
+// small, so WideIdArcListsMatchTheOracle makes every byte of the key
+// differ. The oracle below is the pair-sorting build the graph used
+// before: every CSR the memoized graph hands out must equal the oracle's
+// over the same arcs — in unit cases, and in full replications where a
+// checker reads every agent's graph at a fixed sim-time cadence and
+// rebuilds the oracle from the agent's own tables (link set, 2-hop set,
+// topology set).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -43,6 +47,16 @@ struct Csr {
   std::vector<std::uint32_t> offsets;
   std::vector<std::uint32_t> targets;
   friend bool operator==(const Csr&, const Csr&) = default;
+  // A failed comparison prints the arrays, not the vectors' bytes.
+  friend void PrintTo(const Csr& g, std::ostream* os) {
+    *os << "nodes [";
+    for (const auto id : g.nodes) *os << ' ' << id.value();
+    *os << " ] offsets [";
+    for (const auto o : g.offsets) *os << ' ' << o;
+    *os << " ] targets [";
+    for (const auto t : g.targets) *os << ' ' << t;
+    *os << " ]";
+  }
 };
 
 /// The pair-sorting build the memoized graph replaced: sort and dedup the
@@ -221,6 +235,103 @@ TEST(GraphMemo, RandomArcListsMatchTheOracle) {
           0, static_cast<std::int64_t>(arcs.size()) - 1))];
       arc.second = n(static_cast<std::uint32_t>(rng.uniform_int(0, 11)));
     }  // else: the same list again
+    g.clear();
+    for (const auto& [from, to] : arcs) g.add_arc(from, to);
+    ASSERT_EQ(csr_of(g), oracle_build(arcs)) << "step " << step;
+  }
+}
+
+TEST(GraphMemo, WideIdArcListsMatchTheOracle) {
+  // The rebuild's radix sort skips every byte that is equal in all keys,
+  // so ids below 16 only ever exercise the passes over bytes 0 and 4.
+  // These lists make each byte of both halves of the key differ — alone
+  // and together — on one graph object, so every list is a memo miss.
+  constexpr std::uint32_t kMaxId = 0xFFFFFFFEu;  // kInvalid is reserved
+  KnowledgeGraph g;
+  const auto check = [&g](const std::vector<Arc>& arcs, const char* what) {
+    g.clear();
+    for (const auto& [from, to] : arcs) g.add_arc(from, to);
+    EXPECT_EQ(csr_of(g), oracle_build(arcs)) << what;
+  };
+  const auto symmetric = [](const std::vector<std::uint32_t>& ids) {
+    // A ring plus chords over `ids` in the given (unsorted) order.
+    std::vector<Arc> arcs;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto a = n(ids[i]);
+      for (const auto step : {std::size_t{1}, std::size_t{3}}) {
+        const auto b = n(ids[(i + step) % ids.size()]);
+        arcs.emplace_back(a, b);
+        arcs.emplace_back(b, a);
+      }
+    }
+    return arcs;
+  };
+
+  check({{n(kMaxId), n(70000)}}, "one arc (asymmetric)");
+  check({{n(kMaxId), n(kMaxId)}}, "one self-loop");
+  check(std::vector<Arc>(9, {n(65536), n(kMaxId)}), "one arc nine times");
+
+  // Only one byte of the ids varies; the others are equal and nonzero.
+  for (const unsigned shift : {0u, 8u, 16u, 24u}) {
+    std::vector<std::uint32_t> ids;
+    for (const std::uint32_t b : {7u, 0u, 254u, 3u, 128u, 1u, 200u})
+      ids.push_back((0x5A5A5A5Au & ~(0xFFu << shift)) | b << shift);
+    check(symmetric(ids), "one byte varies, symmetric");
+    // The same ids as targets of one source: only the low half varies,
+    // and no target is a source (the union fallback).
+    std::vector<Arc> fan;
+    for (const auto id : ids) fan.emplace_back(n(0x01020304u), n(id));
+    check(fan, "one byte of the target varies, asymmetric");
+    // As sources of one target that is not a source: only the high half
+    // varies.
+    std::vector<Arc> fan_in;
+    for (const auto id : ids) fan_in.emplace_back(n(id), n(0x01020304u));
+    check(fan_in, "one byte of the source varies, asymmetric");
+  }
+
+  // Ids across all four bytes in one list, from 0 to the largest id.
+  const std::vector<std::uint32_t> wide{
+      kMaxId,     255,        256,        0,          65535,
+      65536,      0x00FFFFFF, 0x01000000, 0x7FFFFFFF, 0x80000000,
+      0xFF000000, 0x0000FF00, 0x00010001, 0xFFFEFFFE, 1};
+  check(symmetric(wide), "ids across all four bytes");
+
+  // Random lists over ids of 1 to 4 significant bytes: fresh lists, heavy
+  // duplicates from a small pool, asymmetric arcs, and permutations.
+  sim::Rng rng{29};
+  const auto random_id = [&rng] {
+    const auto bytes = rng.uniform_int(1, 4);
+    const auto top =
+        std::min<std::int64_t>((std::int64_t{1} << (8 * bytes)) - 1, kMaxId);
+    return static_cast<std::uint32_t>(rng.uniform_int(0, top));
+  };
+  std::vector<Arc> arcs;
+  for (int step = 0; step < 300; ++step) {
+    const auto choice = rng.uniform_int(0, 3);
+    if (choice == 0 || arcs.empty()) {
+      arcs.clear();
+      const auto count = rng.uniform_int(1, 120);
+      for (int i = 0; i < count; ++i) {
+        const auto a = n(random_id());
+        const auto b = n(random_id());
+        arcs.emplace_back(a, b);
+        if (rng.uniform_int(0, 3) != 0) arcs.emplace_back(b, a);
+      }
+    } else if (choice == 1) {
+      // Heavy in duplicates: 200 arcs over a pool of four wide ids.
+      std::vector<NodeId> pool;
+      for (int i = 0; i < 4; ++i) pool.push_back(n(random_id()));
+      arcs.clear();
+      const auto pick = [&] {
+        return pool[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+      };
+      for (int i = 0; i < 200; ++i) {
+        const auto from = pick();
+        arcs.emplace_back(from, pick());
+      }
+    } else if (choice == 2) {
+      rng.shuffle(arcs);
+    }  // else: the same list again (a memo hit)
     g.clear();
     for (const auto& [from, to] : arcs) g.add_arc(from, to);
     ASSERT_EQ(csr_of(g), oracle_build(arcs)) << "step " << step;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <thread>
 #include <vector>
@@ -366,8 +367,9 @@ std::uint64_t hot_total(const std::vector<runtime::ReplicationResult>& results,
 
 TEST(GoldenGuard, GraphWorkCountersIdenticalAcrossRunnerThreads) {
   // Each agent's knowledge-graph memo is replication state, so the
-  // rebuild/reuse split is a deterministic work count: the same for any
-  // Runner thread count and (sharded) any worker count.
+  // rebuild/reuse split and the arc keys the rebuilds sort are
+  // deterministic work counts: the same for any Runner thread count and
+  // (sharded) any worker count.
   for (const auto engine :
        {sim::EngineKind::kSequential, sim::EngineKind::kSharded}) {
     const auto spec = guard_spec(true, engine);
@@ -376,12 +378,14 @@ TEST(GoldenGuard, GraphWorkCountersIdenticalAcrossRunnerThreads) {
       rc.threads = threads;
       runtime::Runner runner{rc};
       const auto results = runner.run(spec);
-      return std::pair{hot_total(results, obs::Hot::kGraphBuilds),
-                       hot_total(results, obs::Hot::kGraphReuses)};
+      return std::array{hot_total(results, obs::Hot::kGraphBuilds),
+                        hot_total(results, obs::Hot::kGraphReuses),
+                        hot_total(results, obs::Hot::kGraphArcsSorted)};
     };
     const auto one = run(1);
-    EXPECT_GT(one.first, 0u);
-    EXPECT_GT(one.second, 0u);
+    EXPECT_GT(one[0], 0u);
+    EXPECT_GT(one[1], 0u);
+    EXPECT_GT(one[2], 0u);
     EXPECT_EQ(run(4), one) << "engine " << static_cast<int>(engine);
   }
 }
