@@ -1,6 +1,6 @@
 // Micro-benchmarks of the OLSR substrate: MPR selection, routing-table
-// computation, the knowledge-graph build, wire (de)serialization and
-// audit-log parsing throughput.
+// computation, the knowledge-graph build, wire (de)serialization, the
+// HELLO receive fan-out and audit-log parsing throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -266,6 +266,39 @@ static void BM_HelloSerializeParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HelloSerializeParse);
+
+// One HELLO payload through N receivers' full receive path (decode, link
+// sensing, 2-hop and MPR-selector updates, audit records): a fresh payload
+// per iteration, decoded once and shared by all N receivers. The agents
+// run no timers, so the only traffic is the benchmark's own frame.
+static void BM_HelloFanout(benchmark::State& state) {
+  const auto receivers = static_cast<std::size_t>(state.range(0));
+  scenario::Network::Config c;
+  c.radio.range_m = 1e6;  // full mesh
+  c.positions = net::grid_layout(receivers + 1, 10.0);
+  scenario::Network net{c};
+  for (std::size_t i = 1; i <= receivers; ++i) net.agent(i).resume_running();
+
+  olsr::HelloMessage h;
+  for (std::size_t i = 1; i <= receivers; ++i)
+    h.add(olsr::LinkType::kSym, olsr::NeighborType::kSymNeigh,
+          scenario::Network::id_of(i));
+  olsr::Message m;
+  m.header.type = olsr::MessageType::kHello;
+  m.header.originator = scenario::Network::id_of(0);
+  m.header.ttl = 1;
+  m.body = h;
+  olsr::OlsrPacket p;
+  p.messages.push_back(m);
+  const auto bytes = olsr::serialize_packet(p);
+  for (auto _ : state) {
+    net.medium().broadcast(scenario::Network::id_of(0), bytes);
+    net.run_for(sim::Duration::from_ms(2));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(receivers));
+}
+BENCHMARK(BM_HelloFanout)->Arg(16)->Arg(64);
 
 static void BM_LogParse(benchmark::State& state) {
   std::string text;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -22,6 +23,17 @@ using Bytes = std::vector<std::uint8_t>;
 /// hottest allocation-adjacent path in the system — two lock-prefixed ops
 /// per delivery are measurable at N=1024. Do not hand payloads to another
 /// thread; share the serialized Bytes instead.
+///
+/// Decode memo: the payload also carries one type-erased slot (a pointer
+/// plus its deleter) that memo() fills on first use, so the first receiver
+/// decodes the bytes and every later receiver reads the same result by
+/// const reference. The slot lives and dies with the bytes (freed with the
+/// last reference) and sits under the same single-thread confinement as
+/// the refcount. A psim cross-shard delivery carries a deep copy of the
+/// bytes (see Medium), so each copy fills its own memo on its own lane. A
+/// memo is sound because the bytes never change after construction: the
+/// collision model drops whole frames and no fault rewrites single bytes,
+/// so every receiver that gets the frame at all gets these bytes.
 class PayloadPtr {
  public:
   PayloadPtr() noexcept = default;
@@ -42,10 +54,34 @@ class PayloadPtr {
   const Bytes* operator->() const noexcept { return &rep_->bytes; }
   explicit operator bool() const noexcept { return rep_ != nullptr; }
 
+  /// The value `decode(bytes)` memoized on this payload: computed on the
+  /// first call, returned by reference on every later one. One payload
+  /// holds one memo type; `decode` must not throw (fold errors into T).
+  template <class T, class Decode>
+  const T& memo(Decode&& decode) const {
+    if (rep_->memo == nullptr) {
+      rep_->memo = new T(decode(rep_->bytes));
+      rep_->drop_memo = &drop<T>;
+    }
+    assert(rep_->drop_memo == &drop<T>);
+    return *static_cast<const T*>(rep_->memo);
+  }
+
  private:
+  template <class T>
+  static void drop(const void* memo) {
+    delete static_cast<const T*>(memo);
+  }
+
   struct Rep {
     Bytes bytes;
     std::uint32_t refs;
+    const void* memo = nullptr;
+    void (*drop_memo)(const void*) = nullptr;
+
+    ~Rep() {
+      if (memo != nullptr) drop_memo(memo);
+    }
   };
   void release() noexcept {
     if (rep_ != nullptr && --rep_->refs == 0) delete rep_;

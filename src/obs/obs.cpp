@@ -32,6 +32,8 @@ const char* hot_name(Hot h) {
       return "manet_olsr_graph_reuses_total";
     case Hot::kGraphArcsSorted:
       return "manet_olsr_graph_arcs_sorted_total";
+    case Hot::kFramesDecoded:
+      return "manet_olsr_frames_decoded_total";
     case Hot::kPipelineLines:
       return "manet_pipeline_lines_total";
     case Hot::kPipelineRounds:

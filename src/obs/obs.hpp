@@ -39,6 +39,11 @@ enum class Hot : std::uint32_t {
   kGraphBuilds,              ///< olsr::KnowledgeGraph CSR rebuilds (memo miss)
   kGraphReuses,              ///< olsr::KnowledgeGraph builds kept (memo hit)
   kGraphArcsSorted,          ///< raw arc keys those rebuilds radix-sorted
+  /// OLSR payloads decoded (olsr::decoded memo miss). Sequential runs count
+  /// distinct payloads, not deliveries; under psim each cross-shard deep
+  /// copy decodes once more, so the count follows the shard map, not the
+  /// Runner thread count.
+  kFramesDecoded,
   kPipelineLines,            ///< audit-stream kLine frames consumed
   kPipelineRounds,           ///< audit-stream kRound frames consumed
   kPipelineDecays,           ///< audit-stream kDecay frames consumed

@@ -147,12 +147,25 @@ void Agent::emit_hello() {
   m.header.seq_num = next_msg_seq();
   m.body = h;
 
-  auto rec = make_record("hello_sent", 4);
-  rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("neigh", h.symmetric_neighbors())
-      .with("asym", asym_scratch_)
-      .with("will", static_cast<std::int64_t>(h.willingness));
-  log_.append(std::move(rec));
+  // A hook may advertise the reserved address: no receiver decodes such a
+  // HELLO (each logs packet_parse_error) and no log line can carry it as a
+  // node, so it still goes on the air but is logged as a build error.
+  const bool reserved = std::ranges::any_of(h.link_groups, [](const auto& g) {
+    return std::ranges::any_of(g.second, [](NodeId n) { return !n.valid(); });
+  });
+  if (reserved) {
+    auto rec = make_record("packet_build_error", 2);
+    rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
+        .with("type", static_cast<std::int64_t>(MessageType::kHello));
+    log_.append(std::move(rec));
+  } else {
+    auto rec = make_record("hello_sent", 4);
+    rec.with("seq", static_cast<std::int64_t>(m.header.seq_num))
+        .with("neigh", h.symmetric_neighbors())
+        .with("asym", asym_scratch_)
+        .with("will", static_cast<std::int64_t>(h.willingness));
+    log_.append(std::move(rec));
+  }
 
   ++stats_.hello_sent;
   broadcast_message(std::move(m), /*batched=*/true);
@@ -254,10 +267,10 @@ void Agent::raw_broadcast(Message message) {
 // ---------------------------------------------------------------- reception
 
 void Agent::handle_packet(const net::Packet& packet) {
-  OlsrPacket parsed;
-  try {
-    parsed = parse_packet(packet.payload());
-  } catch (const WireError&) {
+  // Every receiver of a payload reads the one decode memoized on it, but
+  // logs, counts and hooks its own reception.
+  const DecodedFrame& frame = decoded(packet);
+  if (frame.error) {
     ++stats_.parse_errors;
     auto rec = make_record("packet_parse_error", 1);
     rec.with("from", packet.transmitter);
@@ -265,7 +278,8 @@ void Agent::handle_packet(const net::Packet& packet) {
     return;
   }
 
-  for (const auto& m : parsed.messages) {
+  for (std::size_t i = 0; i < frame.packet.messages.size(); ++i) {
+    const Message& m = frame.packet.messages[i];
     if (hooks_) hooks_->on_receive(m);
     if (m.header.originator == id_) {
       // A retransmission of our own message: evidence that the transmitter
@@ -282,7 +296,7 @@ void Agent::handle_packet(const net::Packet& packet) {
     }
     switch (m.header.type) {
       case MessageType::kHello:
-        process_hello(m, packet.transmitter);
+        process_hello(m, frame.hello_lists[i]);
         break;
       case MessageType::kTc:
         process_tc(m, packet.transmitter);
@@ -300,7 +314,7 @@ void Agent::handle_packet(const net::Packet& packet) {
   }
 }
 
-void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
+void Agent::process_hello(const Message& m, const HelloLists& advertised) {
   const auto* hello = m.as_hello();
   if (!hello) return;
   // HELLOs are link-local (never forwarded), so the originator IS the
@@ -331,19 +345,11 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
   if (neighbors_.upsert_neighbor(from, hello->willingness, now_sym))
     tables_changed = true;
 
-  const auto advertised_sym = hello->symmetric_neighbors();
-  std::vector<NodeId> advertised_asym;
-  for (const auto& [code, addrs] : hello->link_groups) {
-    if (link_type_of(code) == LinkType::kAsym &&
-        neighbor_type_of(code) == NeighborType::kNotNeigh)
-      advertised_asym.insert(advertised_asym.end(), addrs.begin(),
-                             addrs.end());
-  }
   auto rec = make_record("hello_recv", 6);
   rec.with("from", from)
       .with("seq", static_cast<std::int64_t>(m.header.seq_num))
-      .with("sym", advertised_sym)
-      .with("asym", std::move(advertised_asym))
+      .with("sym", advertised.sym)
+      .with("asym", advertised.asym)
       .with("lists_us", lists_us ? "1" : "0")
       .with("will", static_cast<std::int64_t>(hello->willingness));
   log_.append(std::move(rec));
@@ -362,7 +368,7 @@ void Agent::process_hello(const Message& m, NodeId /*transmitter*/) {
   // neighbor, ourselves excluded.
   if (now_sym) {
     std::vector<NodeId> two_hops;
-    for (auto n : advertised_sym)
+    for (auto n : advertised.sym)
       if (n != id_) two_hops.push_back(n);
     if (neighbors_.set_two_hops_via(from, two_hops,
                                     sim_.now() + m.header.vtime)) {

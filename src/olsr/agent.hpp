@@ -21,6 +21,7 @@
 #include "olsr/neighbor_table.hpp"
 #include "olsr/routing_table.hpp"
 #include "olsr/topology_set.hpp"
+#include "olsr/wire.hpp"
 #include "sim/engine.hpp"
 #include "sim/timer.hpp"
 
@@ -244,7 +245,7 @@ class Agent {
   void arm_forward(Message copy, sim::Time at);
 
   void handle_packet(const net::Packet& packet);
-  void process_hello(const Message& m, NodeId transmitter);
+  void process_hello(const Message& m, const HelloLists& advertised);
   void process_tc(const Message& m, NodeId transmitter);
   void process_mid(const Message& m, NodeId transmitter);
   void process_hna(const Message& m, NodeId transmitter);

@@ -21,6 +21,7 @@ struct MessageHeader {
   std::uint8_t ttl = kDefaultTtl;
   std::uint8_t hop_count = 0;
   std::uint16_t seq_num = 0;
+  friend bool operator==(const MessageHeader&, const MessageHeader&) = default;
 };
 
 /// HELLO (§6.1): willingness plus neighbors grouped by link code.
@@ -39,17 +40,20 @@ struct HelloMessage {
   std::vector<NodeId> symmetric_neighbors() const;
   /// All addresses regardless of code.
   std::vector<NodeId> all_neighbors() const;
+  friend bool operator==(const HelloMessage&, const HelloMessage&) = default;
 };
 
 /// TC (§9.1): advertised neighbor sequence number + advertised selectors.
 struct TcMessage {
   std::uint16_t ansn = 0;
   std::vector<NodeId> advertised;  ///< at least the MPR-selector set
+  friend bool operator==(const TcMessage&, const TcMessage&) = default;
 };
 
 /// MID (§5.1): additional interface addresses of the originator.
 struct MidMessage {
   std::vector<NodeId> interfaces;
+  friend bool operator==(const MidMessage&, const MidMessage&) = default;
 };
 
 /// HNA (§12.1): (network, mask-bits) pairs reachable via the originator.
@@ -60,6 +64,7 @@ struct HnaMessage {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
   std::vector<Entry> entries;
+  friend bool operator==(const HnaMessage&, const HnaMessage&) = default;
 };
 
 /// Local extension: unicast application payload, source-routed so that the
@@ -75,6 +80,7 @@ struct DataMessage {
   std::vector<NodeId> trace;
   std::uint16_t protocol = 0;  ///< demultiplexing for applications
   std::vector<std::uint8_t> payload;
+  friend bool operator==(const DataMessage&, const DataMessage&) = default;
 };
 
 using MessageBody =
@@ -91,12 +97,14 @@ struct Message {
   const MidMessage* as_mid() const { return std::get_if<MidMessage>(&body); }
   const HnaMessage* as_hna() const { return std::get_if<HnaMessage>(&body); }
   const DataMessage* as_data() const { return std::get_if<DataMessage>(&body); }
+  friend bool operator==(const Message&, const Message&) = default;
 };
 
 /// An OLSR packet: zero or more messages sharing one packet header (§3.4).
 struct OlsrPacket {
   std::uint16_t seq_num = 0;
   std::vector<Message> messages;
+  friend bool operator==(const OlsrPacket&, const OlsrPacket&) = default;
 };
 
 }  // namespace manet::olsr

@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "net/byte_codec.hpp"
+#include "obs/obs.hpp"
 
 namespace manet::olsr {
 namespace {
@@ -256,6 +257,36 @@ OlsrPacket parse_packet(const net::Bytes& bytes) {
 
 std::size_t wire_size(const Message& message) {
   return kMessageHeaderSize + body_wire_size(message.body);
+}
+
+DecodedFrame decode_frame(const net::Bytes& bytes) {
+  DecodedFrame frame;
+  try {
+    frame.packet = parse_packet(bytes);
+  } catch (const WireError& e) {
+    frame.error = e;
+    return frame;
+  }
+  const auto& messages = frame.packet.messages;
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const auto* hello = messages[i].as_hello();
+    if (hello == nullptr) continue;
+    frame.hello_lists.resize(messages.size());
+    auto& lists = frame.hello_lists[i];
+    lists.sym = hello->symmetric_neighbors();
+    for (const auto& [code, addrs] : hello->link_groups)
+      if (link_type_of(code) == LinkType::kAsym &&
+          neighbor_type_of(code) == NeighborType::kNotNeigh)
+        lists.asym.insert(lists.asym.end(), addrs.begin(), addrs.end());
+  }
+  return frame;
+}
+
+const DecodedFrame& decoded(const net::Packet& packet) {
+  return packet.data.memo<DecodedFrame>([](const net::Bytes& bytes) {
+    obs::hit(obs::Hot::kFramesDecoded);
+    return decode_frame(bytes);
+  });
 }
 
 }  // namespace manet::olsr

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "olsr/messages.hpp"
@@ -27,5 +29,33 @@ OlsrPacket parse_packet(const net::Bytes& bytes);
 
 /// Size in bytes a message will occupy on the wire (header included).
 std::size_t wire_size(const Message& message);
+
+/// The neighbor lists one HELLO advertises, as every receiver reads them.
+struct HelloLists {
+  /// HelloMessage::symmetric_neighbors(): SYM link or SYM/MPR neighbor
+  /// type, first occurrence in wire order.
+  std::vector<NodeId> sym;
+  /// Addresses under ASYM_LINK + NOT_NEIGH, in wire order.
+  std::vector<NodeId> asym;
+};
+
+/// One received payload, decoded once: the packet plus each HELLO's
+/// advertised lists, or the WireError that rejected the bytes.
+struct DecodedFrame {
+  OlsrPacket packet;                    ///< empty when `error` is set
+  /// Parallel to packet.messages when the packet carries a HELLO, else
+  /// empty (no allocation for TC, MID, HNA and DATA frames).
+  std::vector<HelloLists> hello_lists;
+  std::optional<WireError> error;
+};
+
+/// parse_packet plus the HELLO lists; never throws (a WireError is kept).
+DecodedFrame decode_frame(const net::Bytes& bytes);
+
+/// The decode of `packet`'s payload, memoized on the shared payload: the
+/// first receiver decodes (one obs::Hot::kFramesDecoded), every later
+/// receiver of the same payload reads the same frame. Valid while the
+/// packet holds its payload.
+const DecodedFrame& decoded(const net::Packet& packet);
 
 }  // namespace manet::olsr

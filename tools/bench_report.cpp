@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       "BM_DetectConsume|BM_AuditReplay|BM_AuditDecode|"
       "BM_ForwardAuditConsume|BM_GrayholeRound|"
       "BM_CounterInc|BM_SpanEnterExit|BM_SpanDisabled|BM_RegistrySnapshot|"
-      "BM_KnowledgeGraphBuild|BM_HonestObservation",
+      "BM_KnowledgeGraphBuild|BM_HonestObservation|BM_HelloFanout",
   };
   args.insert(args.end(), extra.begin(), extra.end());
 
